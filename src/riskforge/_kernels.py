@@ -1,192 +1,85 @@
-"""Hot numeric inner loops with optional numba compilation.
+"""Hot numeric inner loops, in numpy.
 
-Two kernels dominate pipeline runtime: the coordinate-descent sweep loop of
-the L1 logistic solver and the sorted split-gain scan of the boosted trees.
-Both exist in two semantically identical variants: a numba ``@njit`` build
-and a pure-numpy build. The active variant is chosen at import time; set
-``RISKFORGE_DISABLE_NUMBA=1`` to force the numpy path (or it is used
-automatically when numba is not installed). ``benchmarks/bench_kernels.py``
-times the two paths against each other.
+Two kernels dominate pipeline runtime: the L1-penalized logistic solver
+(``fista``, used by cross-validation for all folds at once and, through
+``lasso_cd``, by every single fit) and the sorted split-gain scan of the
+boosted trees (``split_scan``).
 """
 
-import os
+import math
 
 import numpy as np
 
-try:
-    from numba import njit
+from .glm import sigmoid
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    _HAVE_NUMBA = False
+TOL = 1e-7
 
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrap
-
-_DISABLED = os.environ.get("RISKFORGE_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
-USING_NUMBA = _HAVE_NUMBA and not _DISABLED
+# perfbench/ binds this constant and the functions warmup, lasso_cd and
+# split_scan by name, and its tracer swaps the last two by object identity;
+# keep these four names until tracing moves into the library.
+USING_NUMBA = False
 
 
-def _lasso_cd_py(X, y, lam, beta0_init, beta, max_sweeps, tol, coef_cap):
-    """One full solve of the L1-penalized logistic objective.
+def warmup():
+    """Nothing to compile; kept for callers that warm the kernels up."""
 
-    Minimizes (1/n)·sum(log(1+exp(-(2y-1)·eta))) + lam·sum|beta_j| by cyclic
-    coordinate descent on a quadratic majorizer with curvature bound 1/4
-    (the logistic loss has second derivative <= 1/4). Each sweep re-anchors
-    the majorizer at the current iterate, so the fixed point satisfies the
-    exact KKT conditions. Between full sweeps the cycle narrows to the
-    active (nonzero) coordinates; convergence is only ever declared on a
-    settled full sweep, so the narrowing changes speed, not the answer.
-    The intercept is unpenalized. ``coef_cap`` bounds the iterate: when any
-    |beta_j| crosses it the solve stops early (the optimum diverges under
-    separation at small penalties, so no finite solution exists). ``beta``
-    is updated in place; returns (beta0, sweeps, converged).
+
+def fista(Z, y, weight, step, lam, W, max_iter, coef_cap):
+    """Advance every column of ``W`` in place to its L1 solution at ``lam``.
+
+    Column ``f`` minimizes sum_i weight[i, f] * logistic loss(y_i, Z_i W_f)
+    + lam * sum_{j>0} |W_jf| by accelerated proximal gradient (FISTA) with
+    gradient-based adaptive restart, stepping by ``step[f]``; row 0 (the
+    intercept) is unpenalized. A column stops when its largest change
+    falls below ``TOL`` or any |coefficient| exceeds ``coef_cap``.
+
+    Returns (live, iterations): ``live[f]`` marks a column still running
+    at ``max_iter``.
     """
-    n, p = X.shape
-    beta0 = beta0_init
-    col_ss = np.einsum("ij,ij->j", X, X)
-    eta = beta0 + X @ beta
-    quarter = 0.25
-    sweeps = 0
-    converged = False
-    active_only = False
-    while sweeps < max_sweeps:
-        sweeps += 1
-        # working residual r = z - eta with z anchored at the sweep start
-        pvec = 1.0 / (1.0 + np.exp(-eta))
-        r = 4.0 * (y - pvec)
-        z = eta + r
-        max_delta = 0.0
-        max_abs = 0.0
-        d0 = r.mean()
-        beta0 += d0
-        r -= d0
-        if abs(d0) > max_delta:
-            max_delta = abs(d0)
-        for j in range(p):
-            bj = beta[j]
-            if active_only and bj == 0.0:
-                continue
-            cj = col_ss[j]
-            if cj <= 0.0:
-                continue
-            u = X[:, j] @ r + bj * cj
-            zj = (quarter / n) * u
-            if zj > lam:
-                bnew = (zj - lam) / ((quarter / n) * cj)
-            elif zj < -lam:
-                bnew = (zj + lam) / ((quarter / n) * cj)
-            else:
-                bnew = 0.0
-            d = bnew - bj
-            if d != 0.0:
-                r -= d * X[:, j]
-                beta[j] = bnew
-                if abs(d) > max_delta:
-                    max_delta = abs(d)
-            if abs(bnew) > max_abs:
-                max_abs = abs(bnew)
-        eta = z - r
-        if active_only:
-            if max_delta < tol:
-                active_only = False  # settled; verify with a full sweep
-        else:
-            if max_delta < tol:
-                converged = True
-                break
-            active_only = True
-        if max_abs > coef_cap or abs(beta0) > coef_cap:
+    V = W.copy()
+    theta = np.ones(W.shape[1])
+    live = np.ones(W.shape[1], dtype=bool)
+    for it in range(1, max_iter + 1):
+        a = np.flatnonzero(live)
+        Va = V[:, a]
+        grad = Z.T @ (weight[:, a] * (sigmoid(Z @ Va) - y[:, None]))
+        Wn = Va - step[a] * grad
+        shrink = np.abs(Wn[1:]) - step[a] * lam
+        Wn[1:] = np.where(shrink > 0.0, np.sign(Wn[1:]) * shrink, 0.0)
+        D = Wn - W[:, a]
+        # restart momentum when the step opposes the last move
+        restart = np.einsum("ij,ij->j", Va - Wn, D) > 0.0
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta[a] ** 2))
+        momentum = np.where(restart, 0.0, (theta[a] - 1.0) / theta_next)
+        theta[a] = np.where(restart, 1.0, theta_next)
+        W[:, a] = Wn
+        V[:, a] = Wn + momentum * D
+        done = (np.abs(D).max(axis=0) < TOL) | (np.abs(Wn).max(axis=0) > coef_cap)
+        live[a[done]] = False
+        if not live.any():
             break
-    return beta0, sweeps, converged
+    return live, it
 
 
-@njit(cache=True)
-def _lasso_cd_nb(X, y, lam, beta0_init, beta, max_sweeps, tol, coef_cap):  # pragma: no cover
-    n, p = X.shape
-    beta0 = beta0_init
-    col_ss = np.empty(p)
-    for j in range(p):
-        s = 0.0
-        for i in range(n):
-            s += X[i, j] * X[i, j]
-        col_ss[j] = s
-    eta = np.empty(n)
-    for i in range(n):
-        e = beta0
-        for j in range(p):
-            e += X[i, j] * beta[j]
-        eta[i] = e
-    quarter = 0.25
-    r = np.empty(n)
-    z = np.empty(n)
-    sweeps = 0
-    converged = False
-    active_only = False
-    while sweeps < max_sweeps:
-        sweeps += 1
-        for i in range(n):
-            pi = 1.0 / (1.0 + np.exp(-eta[i]))
-            r[i] = 4.0 * (y[i] - pi)
-            z[i] = eta[i] + r[i]
-        max_delta = 0.0
-        max_abs = 0.0
-        d0 = 0.0
-        for i in range(n):
-            d0 += r[i]
-        d0 /= n
-        beta0 += d0
-        for i in range(n):
-            r[i] -= d0
-        if abs(d0) > max_delta:
-            max_delta = abs(d0)
-        for j in range(p):
-            bj = beta[j]
-            if active_only and bj == 0.0:
-                continue
-            cj = col_ss[j]
-            if cj <= 0.0:
-                continue
-            u = 0.0
-            for i in range(n):
-                u += X[i, j] * r[i]
-            u += bj * cj
-            zj = (quarter / n) * u
-            if zj > lam:
-                bnew = (zj - lam) / ((quarter / n) * cj)
-            elif zj < -lam:
-                bnew = (zj + lam) / ((quarter / n) * cj)
-            else:
-                bnew = 0.0
-            d = bnew - bj
-            if d != 0.0:
-                for i in range(n):
-                    r[i] -= d * X[i, j]
-                beta[j] = bnew
-                if abs(d) > max_delta:
-                    max_delta = abs(d)
-            if abs(bnew) > max_abs:
-                max_abs = abs(bnew)
-        for i in range(n):
-            eta[i] = z[i] - r[i]
-        if active_only:
-            if max_delta < tol:
-                active_only = False
-        else:
-            if max_delta < tol:
-                converged = True
-                break
-            active_only = True
-        if max_abs > coef_cap or abs(beta0) > coef_cap:
-            break
-    return beta0, sweeps, converged
+def lasso_cd(X, y, lam, beta0, beta, max_iter):
+    """One L1-penalized logistic fit on all rows with equal weights 1/n.
+
+    Minimizes (1/n)*sum logistic loss + lam*sum|beta_j| with ``fista`` as
+    a single column, stepping by 1/L with L = ||[1 X]||^2 / (4n), a
+    Lipschitz bound of the mean-loss gradient, and no coefficient cap.
+    Starts from ``beta0``/``beta``; ``beta`` is updated in place. Returns
+    (intercept, iterations, converged).
+    """
+    n = X.shape[0]
+    Z = np.hstack([np.ones((n, 1)), X])
+    W = np.concatenate(([beta0], beta))[:, None]
+    step = np.array([4.0 * n / np.linalg.norm(Z, 2) ** 2])
+    live, it = fista(Z, y, np.full((n, 1), 1.0 / n), step, lam, W, max_iter, math.inf)
+    beta[:] = W[1:, 0]
+    return float(W[0, 0]), it, not live[0]
 
 
-def _split_scan_py(vals, g, h, g_left_base, h_left_base, reg_lambda, gamma):
+def split_scan(vals, g, h, g_left_base, h_left_base, reg_lambda, gamma):
     """Best split over one sorted feature column of a tree node.
 
     ``vals`` ascending, no NaNs; ``g``/``h`` aligned gradient/hessian sums.
@@ -197,8 +90,8 @@ def _split_scan_py(vals, g, h, g_left_base, h_left_base, reg_lambda, gamma):
     m = vals.shape[0]
     if m < 2:
         return -np.inf, np.nan
-    # prepend the forced-left base so the accumulation order (and hence
-    # rounding) matches the scalar variant bit for bit
+    # prepend the forced-left base: this accumulation order fixes the
+    # rounding of every left sum, and the saved model bytes depend on it
     acc_g = np.cumsum(np.concatenate(([g_left_base], g)))
     acc_h = np.cumsum(np.concatenate(([h_left_base], h)))
     gt = acc_g[-1]
@@ -215,49 +108,3 @@ def _split_scan_py(vals, g, h, g_left_base, h_left_base, reg_lambda, gamma):
     gains = np.where(boundary, gains, -np.inf)
     k = int(np.argmax(gains))
     return float(gains[k]), float(0.5 * (vals[k] + vals[k + 1]))
-
-
-@njit(cache=True)
-def _split_scan_nb(vals, g, h, g_left_base, h_left_base, reg_lambda, gamma):  # pragma: no cover
-    m = vals.shape[0]
-    if m < 2:
-        return -np.inf, np.nan
-    gt = g_left_base
-    ht = h_left_base
-    for i in range(m):
-        gt += g[i]
-        ht += h[i]
-    parent = gt * gt / (ht + reg_lambda)
-    best_gain = -np.inf
-    best_thr = np.nan
-    gl = g_left_base
-    hl = h_left_base
-    for i in range(m - 1):
-        gl += g[i]
-        hl += h[i]
-        if vals[i + 1] == vals[i]:
-            continue
-        gr = gt - gl
-        hr = ht - hl
-        gain = 0.5 * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - parent) - gamma
-        if gain > best_gain:
-            best_gain = gain
-            best_thr = 0.5 * (vals[i] + vals[i + 1])
-    return best_gain, best_thr
-
-
-if USING_NUMBA:
-    lasso_cd = _lasso_cd_nb
-    split_scan = _split_scan_nb
-else:
-    lasso_cd = _lasso_cd_py
-    split_scan = _split_scan_py
-
-
-def warmup():
-    """Trigger JIT compilation so timed sections measure steady state."""
-    X = np.array([[0.5, -1.0], [1.5, 0.25], [-0.75, 2.0], [0.1, -0.4]])
-    y = np.array([0.0, 1.0, 1.0, 0.0])
-    lasso_cd(X, y, 0.05, 0.0, np.zeros(2), 50, 1e-7, 1e6)
-    split_scan(np.array([1.0, 2.0, 3.0]), np.array([0.1, -0.2, 0.3]),
-               np.array([0.2, 0.2, 0.2]), 0.0, 0.0, 1.0, 0.0)

@@ -106,15 +106,19 @@ def _grow_tree(X, g, h, rows, cfg):
 
 
 def _tree_predict(nodes, X):
-    n = X.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        k = 0
-        while nodes[k].feature >= 0:
-            v = X[i, nodes[k].feature]
-            k = nodes[k].left if (np.isnan(v) or v < nodes[k].threshold) else nodes[k].right
-        out[i] = nodes[k].weight
-    return out
+    """Leaf weight per row; all rows descend one level per pass."""
+    feature = np.array([nd.feature for nd in nodes])
+    threshold = np.array([nd.threshold for nd in nodes])
+    left = np.array([nd.left for nd in nodes])
+    right = np.array([nd.right for nd in nodes])
+    k = np.zeros(X.shape[0], dtype=int)
+    rows = np.flatnonzero(feature[k] >= 0)
+    while rows.size:
+        at = k[rows]
+        v = X[rows, feature[at]]
+        k[rows] = np.where(np.isnan(v) | (v < threshold[at]), left[at], right[at])
+        rows = rows[feature[k[rows]] >= 0]
+    return np.array([nd.weight for nd in nodes])[k]
 
 
 def fit_gbt(X, y, cfg, names=None, record=None):

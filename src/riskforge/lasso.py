@@ -1,13 +1,13 @@
 """L1-penalized logistic regression and cross-validated penalty selection.
 
-Single fits (``fit_lasso``, ``lasso_path`` and the refit behind
-``selected_features``) use cyclic coordinate descent on a quadratic
-majorizer of the mean logistic loss (curvature bound 1/4), giving exact
-zeros through soft-thresholding and an unpenalized intercept.
-Cross-validation solves all folds at once by accelerated proximal
-gradient (``fold_path``), which gives exact zeros the same way, and
-reports the held-out binomial deviance curve over a log-spaced penalty
-grid with the minimum, 1-SE, and 75th-percentile selection rules.
+Every fit is solved by one routine, accelerated proximal gradient
+(``_kernels.fista``), which gives exact zeros through soft-thresholding
+and leaves the intercept unpenalized. Single fits (``fit_lasso``,
+``lasso_path`` and the refit behind ``selected_features``) solve one
+problem on all rows; cross-validation solves all folds of a penalty at
+once (``fold_path``) and reports the held-out binomial deviance curve over
+a log-spaced penalty grid with the minimum, 1-SE, and 75th-percentile
+selection rules.
 """
 
 import math
@@ -17,10 +17,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateFold, NonConvergence
-from .glm import sigmoid
 
-MAX_SWEEPS = 100_000
-CD_TOL = 1e-7
+MAX_ITER = 100_000
 CV_MAX_ITER = 1000
 CV_COEF_CAP = 30.0
 
@@ -58,32 +56,29 @@ def lambda_max(X, y):
     return float(np.max(np.abs(X.T @ (y - y.mean()))) / n) * (1.0 + 1e-9)
 
 
-def fit_lasso(X, y, lam, *, beta0=None, beta=None, tol=CD_TOL,
-              max_sweeps=MAX_SWEEPS, coef_cap=1e6, strict=True):
+def fit_lasso(X, y, lam, *, beta0=None, beta=None):
     """Solve one penalty level; returns (intercept, coefficients).
 
     Minimizes (1/n)*sum logistic loss + lam*sum|beta_j|. Warm starts are
     taken from ``beta0``/``beta`` when given. Convergence is declared when
-    the largest coefficient change in a sweep falls below ``tol``; with
-    ``strict`` the sweep cap raises NonConvergence, otherwise the current
-    iterate is returned (tiny penalties can make the optimum diverge under
-    separation, which ``coef_cap`` bounds).
+    the largest coefficient change in an iteration falls below
+    ``_kernels.TOL``; a solve still running at ``MAX_ITER`` iterations
+    raises NonConvergence (tiny penalties can make the optimum diverge
+    under separation).
     """
-    X = np.ascontiguousarray(X, dtype=float)
+    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, p = X.shape
     if beta is None:
-        beta = np.zeros(p)
+        beta = np.zeros(X.shape[1])
     else:
         beta = np.asarray(beta, dtype=float).copy()
     if beta0 is None:
         ybar = min(max(y.mean(), 1e-12), 1 - 1e-12)
         beta0 = math.log(ybar / (1.0 - ybar))
-    b0, sweeps, converged = _kernels.lasso_cd(X, y, float(lam), float(beta0),
-                                              beta, max_sweeps, tol, coef_cap)
-    if not converged and strict:
-        raise NonConvergence(f"coordinate descent hit {sweeps} sweeps at lambda={lam}")
-    return float(b0), beta
+    b0, iters, converged = _kernels.lasso_cd(X, y, float(lam), float(beta0), beta, MAX_ITER)
+    if not converged:
+        raise NonConvergence(f"proximal gradient hit {iters} iterations at lambda={lam}")
+    return b0, beta
 
 
 def default_grid(lmax, size=100, ratio=1e-4):
@@ -193,7 +188,7 @@ def fold_path(X, y, grid, folds):
     column. Each fold steps by 1/L_f with L_f = ||Z_f||^2 / (4 n_f), a
     Lipschitz bound of its mean-loss gradient. Each penalty is warm-started
     from the previous one. A fold stops when its largest coefficient change
-    falls below ``CD_TOL``, or when any |coefficient| exceeds
+    falls below ``_kernels.TOL``, or when any |coefficient| exceeds
     ``CV_COEF_CAP`` (past the point where the optimum diverges under
     separation no finite solution exists), or at ``CV_MAX_ITER``.
 
@@ -215,35 +210,8 @@ def fold_path(X, y, grid, folds):
     W = np.zeros((p + 1, n_folds))
     W[0] = np.log(ybar / (1.0 - ybar))
     for lam in grid:
-        capped = _fista(Z, y, weight, step, float(lam), W)
+        capped, _ = _kernels.fista(Z, y, weight, step, float(lam), W, CV_MAX_ITER, CV_COEF_CAP)
         yield W.copy(), capped
-
-
-def _fista(Z, y, weight, step, lam, W):
-    """Advance every fold column of ``W`` in place to its solution at ``lam``."""
-    V = W.copy()
-    theta = np.ones(W.shape[1])
-    live = np.ones(W.shape[1], dtype=bool)
-    for _ in range(CV_MAX_ITER):
-        a = np.flatnonzero(live)
-        Va = V[:, a]
-        grad = Z.T @ (weight[:, a] * (sigmoid(Z @ Va) - y[:, None]))
-        Wn = Va - step[a] * grad
-        shrink = np.abs(Wn[1:]) - step[a] * lam
-        Wn[1:] = np.where(shrink > 0.0, np.sign(Wn[1:]) * shrink, 0.0)
-        D = Wn - W[:, a]
-        # restart momentum when the step opposes the last move
-        restart = np.einsum("ij,ij->j", Va - Wn, D) > 0.0
-        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta[a] ** 2))
-        momentum = np.where(restart, 0.0, (theta[a] - 1.0) / theta_next)
-        theta[a] = np.where(restart, 1.0, theta_next)
-        W[:, a] = Wn
-        V[:, a] = Wn + momentum * D
-        done = (np.abs(D).max(axis=0) < CD_TOL) | (np.abs(Wn).max(axis=0) > CV_COEF_CAP)
-        live[a[done]] = False
-        if not live.any():
-            break
-    return live
 
 
 def select_lambda(curve, rule):

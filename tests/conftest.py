@@ -1,20 +1,9 @@
 import os
 import sys
 
-import pytest
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from riskforge import _kernels  # noqa: E402
-
 ACCEPTANCE_RESULTS = []
-
-
-@pytest.fixture(scope="session", autouse=True)
-def compiled_kernels():
-    # JIT compile once so timed tests measure steady-state numerics
-    _kernels.warmup()
-    return _kernels.USING_NUMBA
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from riskforge.gbt import (GbtConfig, fit_gbt, gain_importance, load_model,
-                           predict_margin, predict_proba, save_model,
-                           top_k_features)
+from riskforge.gbt import (GbtConfig, _tree_predict, fit_gbt, gain_importance,
+                           load_model, predict_margin, predict_proba,
+                           save_model, top_k_features)
 from riskforge.glm import sigmoid
 
 
@@ -105,6 +105,24 @@ class TestFit:
         m_nan = predict_margin(model, np.array([[np.nan]]))
         m_left = predict_margin(model, np.array([[-1.0]]))
         assert m_nan[0] == m_left[0]
+
+    def test_predict_matches_per_row_routing(self):
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((300, 5))
+        X[rng.uniform(size=X.shape) < 0.15] = np.nan
+        y = (rng.uniform(size=300) < sigmoid(np.nan_to_num(X[:, 0] - X[:, 3]))).astype(float)
+        model = fit_gbt(X, y, GbtConfig(max_depth=4, n_trees=15, seed=2))
+        Xq = rng.standard_normal((200, 5))
+        Xq[rng.uniform(size=Xq.shape) < 0.2] = np.nan
+        for nodes in model.trees:
+            want = []
+            for row in Xq:
+                k = 0
+                while nodes[k].feature >= 0:
+                    v = row[nodes[k].feature]
+                    k = nodes[k].left if np.isnan(v) or v < nodes[k].threshold else nodes[k].right
+                want.append(nodes[k].weight)
+            assert np.array_equal(_tree_predict(nodes, Xq), np.array(want))
 
 
 class TestImportance:

@@ -1,9 +1,4 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from riskforge import _kernels as K
 
@@ -17,69 +12,73 @@ def problem(seed, n=200, p=8):
     return X, y
 
 
-@pytest.mark.skipif(not K._HAVE_NUMBA, reason="numba not installed")
-class TestPathParity:
-    def test_lasso_cd_variants_agree(self):
-        for seed in range(4):
-            X, y = problem(seed)
-            for lam in (0.0, 0.01, 0.08):
-                b_nb = np.zeros(X.shape[1])
-                b_py = np.zeros(X.shape[1])
-                r_nb = K._lasso_cd_nb(X, y, lam, 0.0, b_nb, 50000, 1e-7, 1e6)
-                r_py = K._lasso_cd_py(X, y, lam, 0.0, b_py, 50000, 1e-7, 1e6)
-                assert r_nb[2] and r_py[2]
-                assert abs(r_nb[0] - r_py[0]) < 1e-10
-                assert np.max(np.abs(b_nb - b_py)) < 1e-10
-                assert np.array_equal(b_nb == 0.0, b_py == 0.0)
+def brute_split(vals, g, h, g_left_base, h_left_base, reg_lambda, gamma):
+    """First boundary of maximal gain, from explicit sums on each side."""
+    m = len(vals)
+    gt = g_left_base + sum(g)
+    ht = h_left_base + sum(h)
+    parent = gt * gt / (ht + reg_lambda)
+    best_gain, best_thr = -np.inf, np.nan
+    for i in range(m - 1):
+        if vals[i] == vals[i + 1]:
+            continue
+        gl = g_left_base + sum(g[:i + 1])
+        hl = h_left_base + sum(h[:i + 1])
+        gr = sum(g[i + 1:])
+        hr = sum(h[i + 1:])
+        gain = 0.5 * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda)
+                      - parent) - gamma
+        if gain > best_gain:
+            best_gain, best_thr = gain, 0.5 * (vals[i] + vals[i + 1])
+    return best_gain, best_thr
 
-    def test_split_scan_variants_agree_exactly(self):
+
+class TestSplitScan:
+    def test_matches_brute_force_with_ties_and_forced_left_base(self):
         rng = np.random.default_rng(9)
-        for _ in range(20):
+        for trial in range(40):
             m = int(rng.integers(2, 80))
+            # rounding to one decimal makes runs of tied values
             vals = np.sort(np.round(rng.standard_normal(m), 1))
             g = rng.standard_normal(m)
             h = np.abs(rng.standard_normal(m)) * 0.2 + 0.01
-            args = (vals, g, h, float(rng.standard_normal()),
-                    float(abs(rng.standard_normal())), 1.0, 0.0)
-            assert K._split_scan_nb(*args) == K._split_scan_py(*args)
+            base = (0.0, 0.0) if trial % 4 == 0 else (
+                float(rng.standard_normal()), float(abs(rng.standard_normal())))
+            gamma = 0.0 if trial % 2 else 0.05
+            args = (vals, g, h, base[0], base[1], 1.0, gamma)
+            gain, thr = K.split_scan(*args)
+            want_gain, want_thr = brute_split(*args)
+            if want_gain == -np.inf:
+                assert gain == -np.inf and np.isnan(thr)
+                continue
+            assert abs(gain - want_gain) <= 1e-12
+            assert abs(thr - want_thr) <= 1e-12
 
-    def test_split_scan_no_boundary(self):
+    def test_no_boundary(self):
         vals = np.array([2.0, 2.0, 2.0])
         g = np.array([0.1, -0.2, 0.4])
         h = np.array([0.1, 0.1, 0.1])
-        gain, thr = K._split_scan_py(vals, g, h, 0.0, 0.0, 1.0, 0.0)
-        assert gain == -np.inf
-        gain, thr = K._split_scan_nb(vals, g, h, 0.0, 0.0, 1.0, 0.0)
-        assert gain == -np.inf
+        for base in ((0.0, 0.0), (0.3, 0.2)):
+            gain, thr = K.split_scan(vals, g, h, *base, 1.0, 0.0)
+            assert gain == -np.inf and np.isnan(thr)
+            assert brute_split(vals, g, h, *base, 1.0, 0.0)[0] == -np.inf
+
+    def test_single_row(self):
+        gain, thr = K.split_scan(np.array([1.0]), np.array([0.5]), np.array([0.2]),
+                                 0.1, 0.1, 1.0, 0.0)
+        assert gain == -np.inf and np.isnan(thr)
 
 
-def test_env_flag_selects_numpy_path():
-    code = ("import riskforge._kernels as K; "
-            "print(K.USING_NUMBA, K.lasso_cd is K._lasso_cd_py)")
-    env = dict(os.environ, RISKFORGE_DISABLE_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
-
-
-def test_numba_enabled_by_default_when_available():
-    if not K._HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    env = {k: v for k, v in os.environ.items() if k != "RISKFORGE_DISABLE_NUMBA"}
-    code = "import riskforge._kernels as K; print(K.USING_NUMBA)"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "True"
-
-
-def test_fallback_solver_solves_same_problem():
+def test_lasso_cd_meets_kkt_conditions():
     X, y = problem(3)
     b = np.zeros(X.shape[1])
-    b0, sweeps, conv = K._lasso_cd_py(X, y, 0.05, 0.0, b, 50000, 1e-7, 1e6)
-    assert conv
+    b0, iters, conv = K.lasso_cd(X, y, 0.05, 0.0, b, 50000)
+    assert conv and 1 <= iters < 50000
     p = 1 / (1 + np.exp(-(b0 + X @ b)))
+    assert abs(np.mean(p - y)) < 1e-6
     grad = X.T @ (p - y) / len(y)
     nz = b != 0
     assert np.all(np.abs(grad[~nz]) <= 0.05 + 1e-6)
     if nz.any():
         assert np.max(np.abs(grad[nz] + 0.05 * np.sign(b[nz]))) < 1e-6
+

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from riskforge.errors import DegenerateFold
+from riskforge import lasso
+from riskforge.errors import DegenerateFold, NonConvergence
 from riskforge.glm import fit_logistic, sigmoid
 from riskforge.lasso import (CvCurve, binomial_deviance, cv_deviance,
                              default_grid, fit_lasso, fold_assignments,
@@ -78,6 +79,13 @@ class TestFitLasso:
             assert np.all(np.abs(grad[zero]) <= lam + 1e-6)
             if (~zero).any():
                 assert np.max(np.abs(grad[~zero] + lam * np.sign(b[~zero]))) <= 1e-6
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        X, y = draw(rng, 250, [0.9, -0.7, 0.0])
+        monkeypatch.setattr(lasso, "MAX_ITER", 2)
+        with pytest.raises(NonConvergence, match="hit 2 iterations"):
+            fit_lasso(X, y, 0.01)
 
 
 class TestCvCurve:
@@ -245,6 +253,17 @@ class TestPath:
         assert path.nonzero_counts[0] == 0
         assert path.nonzero_counts[-1] >= path.nonzero_counts[0]
         assert np.all(np.diff(path.lambda_grid) < 0)
+
+    def test_warm_started_rows_match_cold_fits(self):
+        rng = np.random.default_rng(13)
+        X, y = draw(rng, 300, [1.0, -0.7, 0.5, 0.0, 0.0, 0.3])
+        grid = default_grid(lambda_max(X, y), 10, ratio=0.01)
+        path = lasso_path(X, y, grid)
+        for i, lam in enumerate(grid):
+            b0, b = fit_lasso(X, y, lam)
+            assert abs(path.intercepts[i] - b0) <= 1e-6
+            assert np.max(np.abs(path.coef_path[i] - b)) <= 1e-6
+            assert np.array_equal(path.coef_path[i] == 0.0, b == 0.0)
 
 
 def test_binomial_deviance_of_certain_prediction():
