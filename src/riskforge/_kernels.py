@@ -68,9 +68,17 @@ def lasso_cd(X, y, lam, beta0, beta, max_iter):
     a single column, stepping by 1/L with L = ||[1 X]||^2 / (4n), a
     Lipschitz bound of the mean-loss gradient, and no coefficient cap.
     Starts from ``beta0``/``beta``; ``beta`` is updated in place. Returns
-    (intercept, iterations, converged).
+    (intercept, iterations, converged); a start that is already optimal
+    returns at once with 0 iterations.
     """
     n = X.shape[0]
+    # the start is already optimal when soft-thresholding keeps every
+    # coefficient at zero and the intercept would move by less than TOL
+    # (the step is at most 4): return before paying for the spectral norm
+    resid = np.full(n, 1.0 / n) * (sigmoid(beta0) - y)
+    if not beta.any() and np.all(np.abs(X.T @ resid) <= lam) \
+            and 4.0 * abs(resid.sum()) < TOL:
+        return float(beta0), 0, True
     Z = np.hstack([np.ones((n, 1)), X])
     W = np.concatenate(([beta0], beta))[:, None]
     step = np.array([4.0 * n / np.linalg.norm(Z, 2) ** 2])

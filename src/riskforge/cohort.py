@@ -43,24 +43,18 @@ def filter_by_diagnosis(diagnoses, cfg):
     """Rows whose code matches any configured code; one row per hadm_id."""
     codes = [c.strip() for c in cfg.icd_codes]
     vals, mask = diagnoses.column(cfg.code_column)
-    keep = np.zeros(diagnoses.n_rows, dtype=bool)
-    for r in range(diagnoses.n_rows):
-        if mask[r]:
-            continue
-        cell = str(vals[r]).strip()
-        keep[r] = any(_code_matches(cell, c) for c in codes)
-    out = diagnoses.filter(keep)
+    # each distinct cell is matched once
+    cells, inv = np.unique(vals, return_inverse=True)
+    hit = np.array([any(_code_matches(str(cell).strip(), c) for c in codes)
+                    for cell in cells], dtype=bool)
+    out = diagnoses.filter(~mask & hit[inv])
 
     if out.has_column("hadm_id"):
         hadm, hmask = out.column("hadm_id")
-        seen, uniq = set(), []
-        for r in range(out.n_rows):
-            key = None if hmask[r] else int(hadm[r])
-            if key in seen:
-                continue
-            seen.add(key)
-            uniq.append(r)
-        out = out.take(uniq)
+        # the first row of each admission; rows without one count as one admission
+        _, first = np.unique(np.where(hmask, np.nan, hadm), return_index=True,
+                             equal_nan=True)
+        out = out.take(np.sort(first))
 
     if out.n_rows == 0:
         warnings.warn("diagnosis filter matched no rows", EmptyCohortWarning)
@@ -76,16 +70,13 @@ def first_icu_stay(stays):
     it, imask = stays.column("intime")
     stid = stays.values("stay_id") if stays.has_column("stay_id") else np.arange(stays.n_rows, dtype=float)
 
-    best = {}
-    for r in range(stays.n_rows):
-        if smask[r] or imask[r]:
-            continue
-        key = int(sid[r])
-        cand = (float(it[r]), float(stid[r]), r)
-        if key not in best or cand[:2] < best[key][:2]:
-            best[key] = cand
-    rows = [best[k][2] for k in sorted(best)]
-    return stays.take(rows)
+    live = np.flatnonzero(~smask & ~imask)
+    # by subject, then intime, then stay_id; lexsort is stable, so a full tie
+    # keeps the earlier row
+    rows = live[np.lexsort((stid[live], it[live], sid[live]))]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = sid[rows][1:] != sid[rows][:-1]
+    return stays.take(rows[first])
 
 
 def label_mortality(admissions):

@@ -61,15 +61,8 @@ class FeatureMatrix:
 
 def from_frame(frame, columns, tags=None):
     """Build a FeatureMatrix from numeric frame columns (masked -> NaN)."""
-    cols, out_tags = [], []
-    for i, name in enumerate(columns):
-        vals, mask = frame.column(name)
-        v = np.asarray(vals, dtype=float)
-        v[mask] = np.nan
-        cols.append(v)
-        out_tags.append("structured" if tags is None else tags[i])
-    X = np.column_stack(cols) if cols else np.zeros((frame.n_rows, 0))
-    return FeatureMatrix(X, list(columns), out_tags)
+    tags = ["structured"] * len(columns) if tags is None else list(tags)
+    return FeatureMatrix(frame.matrix(columns), list(columns), tags)
 
 
 def hstack(a, b):

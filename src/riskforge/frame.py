@@ -5,10 +5,26 @@ mask, so "blank" and "zero" stay distinguishable end to end. Frames are
 treated as immutable: every operation returns a new frame and shares no
 mutable state with its inputs. CSV round-trips preserve both content and
 mask (blank cell = missing).
+
+The CSV codec converts whole columns (in blocks of rows, to bound memory)
+and keeps the rules of a cell-by-cell parser. A blank cell is missing, and
+so is a numeric cell that does not parse, never zero. ``num`` cells parse as
+``float`` does ("nan" is missing, "inf" is kept); ``int`` cells truncate
+toward zero as ``int(float(text))`` does, and non-finite ones are missing;
+``str`` cells are never missing. A numeric column converts in one
+``np.array(cells, dtype=float)`` and, if a malformed cell makes that raise,
+cell by cell. A ``time`` column whose cells all read ``YYYY-MM-DD
+HH:MM:SS`` parses through ``datetime64[s]``; any other goes cell by cell
+through ``strptime``, since off that form the two disagree (numpy takes a
+bare date, a ``T`` or a leading space, strptime unpadded fields). Writing
+formats each column once. Joins and group-bys run on integer key codes
+from ``np.unique`` and stable sorts.
 """
 
 import csv
-import math
+import gc
+import itertools
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -20,6 +36,11 @@ KINDS = ("num", "int", "str", "time")
 NUMERIC_KINDS = ("num", "int", "time")
 TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
 _EPOCH = datetime(1970, 1, 1)
+# cells converted per block of rows; bounds the cell strings held at once
+_BLOCK_CELLS = 1 << 14
+# a time cell numpy and strptime read alike; year 0 is left to strptime
+_TIME_CELL = re.compile(
+    r"(?:(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2})?")
 
 
 def parse_time(text):
@@ -93,6 +114,11 @@ class PatientFrame:
     def mask(self, name):
         return self._masks[self._col(name)].copy()
 
+    def matrix(self, names):
+        """The named columns as one rows x names float array; masked cells are NaN."""
+        cols = [self._columns[self._col(n)].astype(float) for n in names]
+        return np.column_stack(cols) if cols else np.zeros((self.n_rows, 0))
+
     def _col(self, name):
         try:
             return self._index[name]
@@ -101,17 +127,9 @@ class PatientFrame:
 
     def row_keys(self):
         """(subject_id, hadm_id, stay_id-or-None) tuples for present key columns."""
-        out = []
-        sid = self._columns[self._col("subject_id")] if self.has_column("subject_id") else None
-        hid = self._columns[self._col("hadm_id")] if self.has_column("hadm_id") else None
-        tid = self._columns[self._col("stay_id")] if self.has_column("stay_id") else None
-        for i in range(self.n_rows):
-            out.append((
-                None if sid is None else int(sid[i]),
-                None if hid is None else int(hid[i]),
-                None if tid is None else int(tid[i]),
-            ))
-        return out
+        return list(zip(*[
+            self._columns[self._index[k]].astype(int).tolist() if k in self._index
+            else [None] * self.n_rows for k in ("subject_id", "hadm_id", "stay_id")]))
 
     # --- constructors ---
 
@@ -203,8 +221,8 @@ class PatientFrame:
             i = self._col(name)
             col, m = self._columns[i], self._masks[i]
             if self._kinds[i] == "str":
-                sub = sorted(range(len(order)), key=lambda r: (bool(m[order[r]]), str(col[order[r]])))
-                order = order[np.asarray(sub, dtype=int)]
+                order = order[np.argsort(col[order], kind="stable")]
+                order = order[np.argsort(m[order], kind="stable")]
             else:
                 vals = np.where(m[order], np.inf, np.nan_to_num(col[order], nan=np.inf))
                 order = order[np.argsort(vals, kind="stable")]
@@ -218,34 +236,55 @@ class PatientFrame:
         for i in range(self.n_cols):
             if not np.array_equal(self._masks[i], other._masks[i]):
                 return False
-            a, b = self._columns[i], other._columns[i]
             live = ~self._masks[i]
-            if self._kinds[i] == "str":
-                if not all(a[r] == b[r] for r in np.flatnonzero(live)):
-                    return False
-            else:
-                if not np.array_equal(a[live], b[live]):
-                    return False
+            if not np.array_equal(self._columns[i][live], other._columns[i][live]):
+                return False
         return True
 
 
 # --- CSV round trip ---
 
 
-def _parse_cell(text, kind):
-    """Returns (value, missing). Unparseable numerics become missing, never zero."""
-    if kind == "str":
-        return text, False
-    if text == "":
-        return np.nan, True
+def _or_nan(parse, text):
     try:
-        if kind == "time":
-            return parse_time(text), False
-        if kind == "int":
-            return float(int(float(text))), False
-        return float(text), False
+        return parse(text)
     except (ValueError, OverflowError):
-        return np.nan, True
+        return np.nan
+
+
+def _parse_column(cells, kind):
+    """One column of cell strings -> (values, missing mask)."""
+    if kind == "str":
+        return np.array(cells, dtype=object), np.zeros(len(cells), dtype=bool)
+    try:
+        if kind != "time":
+            text = np.array(cells, dtype=object)
+            text[text == ""] = "nan"
+            vals = text.astype(float)
+        elif all(map(_TIME_CELL.fullmatch, cells)):
+            stamps = np.array(cells, dtype="datetime64[s]")
+            vals = np.where(np.isnat(stamps), np.nan, stamps.astype(np.int64))
+        else:
+            raise ValueError("a time cell off the canonical form")
+    except ValueError:  # a malformed cell: parse the column cell by cell
+        parse = parse_time if kind == "time" else float
+        vals = np.array([_or_nan(parse, c) for c in cells], dtype=float)
+    if kind == "int":
+        vals[~np.isfinite(vals)] = np.nan
+        vals = np.trunc(vals) + 0.0  # +0.0: int(-0.5) is 0, not -0
+    return vals, np.isnan(vals)
+
+
+def read_header(path):
+    """The column names on the first line of a CSV file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh), None)
+    except OSError as exc:
+        raise IoFailure(f"{path}: {exc}") from exc
+    if header is None:
+        raise IoFailure(f"{path}: empty file, no header")
+    return header
 
 
 def read_csv(path, schema):
@@ -253,53 +292,68 @@ def read_csv(path, schema):
 
     ``schema`` is [(name, kind), ...]; file columns not in the schema are
     ignored, schema columns absent from the header raise MissingColumn.
-    Blank cells are missing. Row order is preserved.
+    Blank cells are missing; short rows read as blank cells. Row order is
+    preserved. The module docstring gives the cell rules.
     """
+    header = read_header(path)
+    for name, _ in schema:
+        if name not in header:
+            raise MissingColumn(name)
+    positions = [header.index(name) for name, _ in schema]
+    block_rows = max(1, _BLOCK_CELLS // max(1, len(header)))
+    blocks = []
+    # the reader makes a list per row and the transpose a tuple per column;
+    # none can be part of a cycle, so collecting meanwhile is wasted work
+    # (a quarter of the read time on a 300 000-row file)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise IoFailure(f"{path}: empty file, no header") from None
-            positions = {}
-            for name, _ in schema:
-                if name not in header:
-                    raise MissingColumn(name)
-                positions[name] = header.index(name)
-            rows = list(reader)
+            next(reader)  # the header
+            while True:
+                rows = list(itertools.islice(reader, block_rows))
+                cells = list(itertools.zip_longest(*rows, fillvalue=""))
+                blank = ("",) * len(rows)
+                blocks.append([_parse_column(cells[j] if j < len(cells) else blank, kind)
+                               for j, (_, kind) in zip(positions, schema)])
+                if len(rows) < block_rows:
+                    break
     except OSError as exc:
         raise IoFailure(f"{path}: {exc}") from exc
-
-    spec = []
-    for name, kind in schema:
-        j = positions[name]
-        vals, miss = [], []
-        for row in rows:
-            text = row[j] if j < len(row) else ""
-            v, m = _parse_cell(text, kind)
-            vals.append(v)
-            miss.append(m)
-        if kind == "str":
-            spec.append((name, kind, vals, miss))
-        else:
-            spec.append((name, kind, np.array(vals, dtype=float), np.array(miss, dtype=bool)))
-    return PatientFrame.from_columns(spec)
+    finally:
+        if collecting:
+            gc.enable()
+    columns = [np.concatenate([b[c][0] for b in blocks]) for c in range(len(schema))]
+    masks = [np.concatenate([b[c][1] for b in blocks]) for c in range(len(schema))]
+    return PatientFrame([n for n, _ in schema], [k for _, k in schema], columns, masks)
 
 
-def _format_cell(value, missing, kind):
-    if missing:
-        return ""
+def _format_times(seconds):
+    """Cells as ``format_time`` writes them: timedelta rounds to the
+    microsecond, half to even, and strftime drops the fraction."""
+    if seconds.size == 0:
+        return np.zeros(0, dtype=object)
+    whole = np.trunc(seconds)
+    micros = np.rint((seconds - whole) * 1e6)
+    stamps = (whole + np.floor(micros / 1e6)).astype(np.int64).astype("datetime64[s]")
+    return np.char.replace(np.datetime_as_string(stamps, unit="s"), "T", " ")
+
+
+def _format_column(values, mask, kind):
+    """One column -> object array of cell strings, blank where masked."""
     if kind == "str":
-        return str(value)
-    if kind == "int":
-        return str(int(round(float(value))))
-    if kind == "time":
-        return format_time(value)
-    v = float(value)
-    if math.isfinite(v) and v == int(v) and abs(v) < 1e15:
-        return repr(v)
-    return repr(v)
+        cells = values.astype(object)
+    else:
+        live = np.where(mask, 0.0, values)
+        if kind == "num":
+            cells = np.array(list(map(repr, live.tolist())), dtype=object)
+        elif kind == "int":
+            cells = np.array(list(map(str, map(round, live.tolist()))), dtype=object)
+        else:
+            cells = _format_times(live).astype(object)
+    cells[mask] = ""
+    return cells
 
 
 def write_csv(frame, path):
@@ -307,43 +361,61 @@ def write_csv(frame, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(frame.names)
-            cols = [frame._columns[i] for i in range(frame.n_cols)]
-            masks = [frame._masks[i] for i in range(frame.n_cols)]
-            kinds = frame._kinds
-            for r in range(frame.n_rows):
-                writer.writerow([
-                    _format_cell(cols[c][r], masks[c][r], kinds[c])
-                    for c in range(frame.n_cols)
-                ])
+            block_rows = max(1, _BLOCK_CELLS // max(1, frame.n_cols))
+            for start in range(0, frame.n_rows, block_rows):
+                rows = slice(start, start + block_rows)
+                writer.writerows(zip(*[
+                    _format_column(c[rows], m[rows], k)
+                    for c, m, k in zip(frame._columns, frame._masks, frame._kinds)]))
     except OSError as exc:
         raise IoFailure(f"{path}: {exc}") from exc
-
-
-def schema_of(frame):
-    return [(n, frame.kind(n)) for n in frame.names]
 
 
 # --- joins ---
 
 
-def _key_tuple(frame, keys, row):
-    out = []
+def index_of(keys, wanted):
+    """Position in ``keys`` of each value of ``wanted``: -1 where absent,
+    the last position where a key repeats."""
+    keys = np.asarray(keys, dtype=float)
+    wanted = np.asarray(wanted, dtype=float)
+    if keys.size == 0:
+        return np.full(wanted.shape, -1)
+    order = np.argsort(keys, kind="stable")
+    pos = np.maximum(np.searchsorted(keys[order], wanted, side="right") - 1, 0)
+    return np.where(keys[order][pos] == wanted, order[pos], -1)
+
+
+def _key_codes(left, right, keys):
+    """One integer per row of ``left`` then ``right``; two rows share a code
+    iff every key is equal. A row with a masked key gets -1."""
+    n_left, n = left.n_rows, left.n_rows + right.n_rows
+    codes = np.zeros(n, dtype=np.int64)
+    masked = np.zeros(n, dtype=bool)
     for k in keys:
-        i = frame._col(k)
-        if frame._masks[i][row]:
-            return None
-        v = frame._columns[i][row]
-        out.append(str(v) if frame._kinds[i] == "str" else float(v))
-    return tuple(out)
+        li, ri = left._col(k), right._col(k)
+        if (left._kinds[li] == "str") != (right._kinds[ri] == "str"):
+            # text never equals a number: put the two sides apart
+            vals = np.arange(n) >= n_left
+        else:
+            vals = np.concatenate([left._columns[li], right._columns[ri]])
+        masked |= np.concatenate([left._masks[li], right._masks[ri]])
+        _, inv = np.unique(vals, return_inverse=True)
+        _, codes = np.unique(codes * (int(inv.max(initial=0)) + 1) + inv,
+                             return_inverse=True)
+    codes[masked] = -1
+    return codes
 
 
 def join(left, right, spec):
-    """Deterministic hash join on shared key columns.
+    """Deterministic equi-join on shared key columns.
 
-    Inner join drops unmatched left rows; left join keeps them with every
-    right-side cell masked. Right key columns are dropped (values equal the
-    left's by construction); other right columns colliding with a left name
-    get a ``_r`` suffix. Rows with a masked key never match.
+    Output rows follow the left rows in order, each left row followed by its
+    matching right rows in right-row order. Inner join drops unmatched left
+    rows; left join keeps them with every right-side cell masked. Right key
+    columns are dropped (values equal the left's by construction); other
+    right columns colliding with a left name get a ``_r`` suffix. Rows with a
+    masked key never match.
     """
     for k in spec.keys:
         if not left.has_column(k):
@@ -351,28 +423,19 @@ def join(left, right, spec):
         if not right.has_column(k):
             raise KeyMissing(f"right frame lacks key {k!r}")
 
-    rindex = {}
-    for r in range(right.n_rows):
-        kt = _key_tuple(right, spec.keys, r)
-        if kt is not None:
-            rindex.setdefault(kt, []).append(r)
-
-    left_rows, right_rows = [], []
-    for l in range(left.n_rows):
-        kt = _key_tuple(left, spec.keys, l)
-        matches = rindex.get(kt, []) if kt is not None else []
-        if matches:
-            for r in matches:
-                left_rows.append(l)
-                right_rows.append(r)
-        elif spec.kind == "left":
-            left_rows.append(l)
-            right_rows.append(-1)
-
-    left_rows = np.asarray(left_rows, dtype=int)
-    right_rows = np.asarray(right_rows, dtype=int)
-    unmatched = right_rows < 0
-    safe_right = np.where(unmatched, 0, right_rows)
+    codes = _key_codes(left, right, spec.keys)
+    lcode, rcode = codes[:left.n_rows], codes[left.n_rows:]
+    order = np.argsort(rcode, kind="stable")
+    order = order[rcode[order] >= 0]
+    lo = np.searchsorted(rcode[order], lcode, side="left")
+    count = np.searchsorted(rcode[order], lcode, side="right") - lo
+    rows_out = count if spec.kind == "inner" else np.maximum(count, 1)
+    left_rows = np.repeat(np.arange(left.n_rows), rows_out)
+    offset = np.arange(len(left_rows)) - np.repeat(np.cumsum(rows_out) - rows_out, rows_out)
+    matched = np.repeat(count > 0, rows_out)
+    # -1 marks no match; it picks the blank cell appended to each right column
+    right_rows = np.full(len(left_rows), -1)
+    right_rows[matched] = order[(np.repeat(lo, rows_out) + offset)[matched]]
 
     names = list(left._names)
     kinds = list(left._kinds)
@@ -387,14 +450,9 @@ def join(left, right, spec):
         while out_name in taken:
             out_name = out_name + "_r"
         taken.add(out_name)
-        vals = right._columns[i][safe_right]
-        mask = right._masks[i][safe_right] | unmatched
-        if right._kinds[i] == "str":
-            vals = vals.copy()
-            vals[unmatched] = ""
-        else:
-            vals = vals.astype(float)
-            vals[unmatched] = np.nan
+        blank = "" if right._kinds[i] == "str" else np.nan
+        vals = np.append(right._columns[i], blank)[right_rows]
+        mask = np.append(right._masks[i], True)[right_rows]
         names.append(out_name)
         kinds.append(right._kinds[i])
         cols.append(vals)
@@ -424,41 +482,46 @@ def aggregate_by_key(frame, key, stats, columns=None):
         if frame.kind(name) not in ("num", "int", "time"):
             raise NonNumericColumn(name)
 
-    kvals, kmask = frame._columns[ki], frame._masks[ki]
-    group_ids, order = {}, []
-    rows_of = []
-    for r in range(frame.n_rows):
-        if kmask[r]:
-            continue
-        kv = str(kvals[r]) if frame._kinds[ki] == "str" else float(kvals[r])
-        if kv not in group_ids:
-            group_ids[kv] = len(order)
-            order.append(r)
-            rows_of.append([])
-        rows_of[group_ids[kv]].append(r)
+    live = np.flatnonzero(~frame._masks[ki])
+    _, first, inv = np.unique(frame._columns[ki][live], return_index=True,
+                              return_inverse=True)
+    n_groups = len(first)
+    rank = np.empty(n_groups, dtype=int)
+    rank[np.argsort(first)] = np.arange(n_groups)  # groups in first-appearance order
+    group = rank[inv]
+    by_group = np.argsort(group, kind="stable")  # each group's rows stay in row order
+    rows, group = live[by_group], group[by_group]
 
-    n_groups = len(order)
-    out = [(key, frame._kinds[ki], frame._columns[ki][np.asarray(order, dtype=int)]
-            if n_groups else np.array([], dtype=frame._columns[ki].dtype),
+    out = [(key, frame._kinds[ki], frame._columns[ki][live[np.sort(first)]],
             np.zeros(n_groups, dtype=bool))]
     for name in columns:
         ci = frame._col(name)
-        col, cmask = frame._columns[ci], frame._masks[ci]
+        ok = ~frame._masks[ci][rows]
+        vals, g = frame._columns[ci][rows][ok].astype(float), group[ok]
+        counts = np.bincount(g, minlength=n_groups)
+        starts = np.cumsum(counts) - counts
+        has = counts > 0
         for stat in stats:
-            vals = np.full(n_groups, np.nan)
-            miss = np.ones(n_groups, dtype=bool)
-            for gi in range(n_groups):
-                rows = np.asarray(rows_of[gi], dtype=int)
-                live = rows[~cmask[rows]]
-                if live.size == 0:
-                    continue
-                v = col[live].astype(float)
-                if stat == "mean":
-                    vals[gi] = v.mean()
-                elif stat == "min":
-                    vals[gi] = v.min()
-                else:
-                    vals[gi] = v.max()
-                miss[gi] = False
-            out.append((f"{name}_{stat}", "num", vals, miss))
+            res = np.full(n_groups, np.nan)
+            if stat == "mean":
+                res[has] = segment_means(vals, starts[has], counts[has])
+            elif has.any():
+                ufunc = np.minimum if stat == "min" else np.maximum
+                res[has] = ufunc.reduceat(vals, starts[has])
+            out.append((f"{name}_{stat}", "num", res, ~has))
     return PatientFrame.from_columns(out)
+
+
+def segment_means(values, starts, counts):
+    """``np.mean(values[s:s + c])`` for each (s, c), bitwise.
+
+    Segments of one length are stacked into the rows of a 2-D array: numpy
+    reduces each row with the pairwise summation it uses on a 1-D array of
+    that length, so the means round exactly as per-segment calls would (a
+    cumulative sum, ``reduceat`` or ``bincount`` would not).
+    """
+    out = np.empty(len(starts))
+    for c in np.unique(counts):
+        sel = np.flatnonzero(counts == c)
+        out[sel] = values[starts[sel, None] + np.arange(c)].mean(axis=1)
+    return out

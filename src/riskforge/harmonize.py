@@ -6,12 +6,14 @@ plausibility masking with per-rule removal counts, mean/min/max
 aggregation, GCS totals, and binary comorbidity/treatment flags.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ComponentOutOfRange
-from .frame import JoinSpec, PatientFrame, aggregate_by_key, join
+from .frame import (JoinSpec, PatientFrame, aggregate_by_key, index_of, join,
+                    segment_means)
 
 WINDOW_SECONDS = 24 * 3600.0
 
@@ -171,72 +173,74 @@ def gcs_total(eye, verbal, motor):
     return float(out) if np.ndim(eye) == 0 else out
 
 
+def _item_names(itemids, table):
+    """Harmonized name per itemid; '' where ``table`` has none."""
+    codes = np.array(sorted(table), dtype=float)
+    names = np.array([table[c] for c in sorted(table)] + [""], dtype=object)
+    pos = index_of(codes, itemids)
+    return names[np.where(pos >= 0, pos, len(codes))]
+
+
 def _events_to_variables(chartevents):
     """Map itemids to harmonized names; align temperature to Fahrenheit."""
     item, imask = chartevents.column("itemid")
     val, vmask = chartevents.column("valuenum")
-    uom = chartevents.values("valueuom") if chartevents.has_column("valueuom") else None
-    names = np.array([""] * chartevents.n_rows, dtype=object)
+    keep = ~imask & ~vmask
+    names = _item_names(item, {**VITAL_ITEMS, **GCS_ITEMS})
+    keep &= names != ""
+    celsius = names == "bt_c"
+    bt = np.flatnonzero(names == "bt")
+    if chartevents.has_column("valueuom"):
+        # each distinct unit string is read once
+        units, inv = np.unique(chartevents.values("valueuom")[bt], return_inverse=True)
+        units = [str(u).strip().upper() for u in units]
+        labelled = np.array([u in ("C", "°C", "CELSIUS") for u in units], dtype=bool)[inv]
+        unlabelled = np.array([u == "" for u in units], dtype=bool)[inv]
+    else:
+        labelled, unlabelled = False, True
+    celsius[bt] = labelled | (unlabelled & detect_celsius(val[bt]))
+    names[celsius] = "bt"
     out_vals = val.copy()
-    keep = np.zeros(chartevents.n_rows, dtype=bool)
-    for r in range(chartevents.n_rows):
-        if imask[r] or vmask[r]:
-            continue
-        code = int(item[r])
-        var = VITAL_ITEMS.get(code) or GCS_ITEMS.get(code)
-        if var is None:
-            continue
-        v = float(val[r])
-        if var == "bt_c":
-            var, v = "bt", convert_temperature(v, "C")
-        elif var == "bt":
-            unit = str(uom[r]).strip().upper() if uom is not None else ""
-            if unit in ("C", "°C", "CELSIUS") or (unit == "" and detect_celsius(v)):
-                v = convert_temperature(v, "C")
-        names[r] = var
-        out_vals[r] = v
-        keep[r] = True
-    out = chartevents.with_column("variable", "str", names)
-    out = out.with_column("valuenum", "num", out_vals, vmask)
-    return out.filter(keep)
+    out_vals[celsius] = convert_temperature(val[celsius], "C")
+    out = chartevents.filter(keep)
+    out = out.with_column("variable", "str", names[keep])
+    return out.with_column("valuenum", "num", out_vals[keep], vmask[keep])
 
 
 def _pool_duplicate_measurements(events, key):
-    """Average simultaneous readings of one variable (arterial + cuff BP)."""
-    seen = {}
+    """Average simultaneous readings of one variable (arterial + cuff BP);
+    one row per (key, variable, charttime), in that order."""
+    variables, var = np.unique(events.values("variable"), return_inverse=True)
     kvals = events.values(key)
     tvals = events.values("charttime")
-    var = events.values("variable")
-    val = events.values("valuenum")
-    for r in range(events.n_rows):
-        k = (int(kvals[r]), str(var[r]), float(tvals[r]))
-        seen.setdefault(k, []).append(float(val[r]))
-    rows = sorted(seen)
-    pooled = [float(np.mean(seen[k])) for k in rows]
+    order = np.lexsort((tvals, var, kvals))  # stable: readings keep row order
+    kvals, var, tvals = kvals[order], var[order], tvals[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (kvals[1:] != kvals[:-1]) | (var[1:] != var[:-1]) | (tvals[1:] != tvals[:-1])
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, len(order)))
+    pooled = segment_means(events.values("valuenum")[order], starts, counts)
     return PatientFrame.from_columns([
-        (key, "int", np.array([k[0] for k in rows], dtype=float)),
-        ("variable", "str", [k[1] for k in rows]),
-        ("charttime", "time", np.array([k[2] for k in rows], dtype=float)),
-        ("valuenum", "num", np.array(pooled)),
+        (key, "int", kvals[starts]),
+        ("variable", "str", variables[var[starts]]),
+        ("charttime", "time", tvals[starts]),
+        ("valuenum", "num", pooled),
     ])
 
 
 def aggregate_variables(events, key, variables, stats=("mean", "min", "max")):
-    """Per-key mean/min/max of each long-format variable; wide output frame."""
-    keys = sorted({int(k) for k in events.values(key)})
-    base = PatientFrame.from_columns([(key, "int", np.array(keys, dtype=float))])
+    """Per-key mean/min/max of each long-format variable; wide output frame.
+
+    Keys ascend. One group-by over the key-sorted events, with one column per
+    variable that masks every other variable's rows.
+    """
+    events = events.sort_by([key])
     var = events.values("variable")
-    for name in variables:
-        sub = events.filter(np.array([v == name for v in var], dtype=bool))
-        if sub.n_rows == 0:
-            for stat in stats:
-                base = base.with_column(f"{name}_{stat}", "num",
-                                        np.full(base.n_rows, np.nan))
-            continue
-        agg = aggregate_by_key(sub, key, list(stats), columns=["valuenum"])
-        agg = agg.rename({f"valuenum_{s}": f"{name}_{s}" for s in stats})
-        base = join(base, agg, JoinSpec((key,), "left"))
-    return base
+    vals, mask = events.column("valuenum")
+    wide = [(key, "int", events.values(key))]
+    wide += [(name, "num", vals, mask | (var != name)) for name in variables]
+    return aggregate_by_key(PatientFrame.from_columns(wide), key, list(stats),
+                            columns=list(variables))
 
 
 def derive_mbp(frame):
@@ -255,50 +259,36 @@ def derive_mbp(frame):
 
 def binary_flags(diagnoses, proc_events, input_events, cohort):
     """Per-stay 0/1 comorbidity and first-24h treatment indicator columns."""
-    hadm = cohort.values("hadm_id").astype(int)
-    stay = cohort.values("stay_id").astype(int)
     n = cohort.n_rows
     flags = {name: np.zeros(n) for name in FLAG_NAMES}
 
-    hadm_pos = {h: i for i, h in enumerate(hadm.tolist())}
     dh, dhmask = diagnoses.column("hadm_id")
     dc, dcmask = diagnoses.column("icd_code")
-    for r in range(diagnoses.n_rows):
-        if dhmask[r] or dcmask[r]:
-            continue
-        i = hadm_pos.get(int(dh[r]))
-        if i is None:
-            continue
-        code = str(dc[r]).strip()
-        for name, prefixes in COMORBIDITY_CODES.items():
-            if any(code.startswith(p) for p in prefixes):
-                flags[name][i] = 1.0
-
-    stay_pos = {s: i for i, s in enumerate(stay.tolist())}
+    row = index_of(cohort.values("hadm_id"), dh)
+    ok = ~dhmask & ~dcmask & (row >= 0)
+    # each distinct code is matched once
+    codes, inv = np.unique(dc[ok], return_inverse=True)
+    for name, prefixes in COMORBIDITY_CODES.items():
+        hit = np.array([str(c).strip().startswith(prefixes) for c in codes], dtype=bool)
+        flags[name][row[ok][hit[inv]]] = 1.0
 
     def mark(events, item_sets):
         if events is None or events.n_rows == 0:
             return
         sv, smask = events.column("stay_id")
         iv, imask = events.column("itemid")
-        for r in range(events.n_rows):
-            if smask[r] or imask[r]:
-                continue
-            i = stay_pos.get(int(sv[r]))
-            if i is None:
-                continue
-            code = int(iv[r])
-            for name, items in item_sets:
-                if code in items:
-                    flags[name][i] = 1.0
+        row = index_of(cohort.values("stay_id"), sv)
+        ok = ~smask & ~imask & (row >= 0)
+        for name, items in item_sets:
+            flags[name][row[ok & np.isin(iv, list(items))]] = 1.0
 
     mark(proc_events, [("received_ventilation", VENTILATION_ITEMS)])
     mark(input_events, [("epinephrine", EPINEPHRINE_ITEMS), ("dopamine", DOPAMINE_ITEMS)])
 
-    out = cohort.select(["stay_id"])
-    for name in FLAG_NAMES:
-        out = out.with_column(name, "int", flags[name])
-    return out
+    stay, smask = cohort.column("stay_id")
+    return PatientFrame.from_columns(
+        [("stay_id", cohort.kind("stay_id"), stay, smask)]
+        + [(name, "int", flags[name]) for name in FLAG_NAMES])
 
 
 def build_structured_features(chartevents, labevents, diagnoses, proc_events,
@@ -320,13 +310,12 @@ def build_structured_features(chartevents, labevents, diagnoses, proc_events,
     lab_stays = cohort.select(["hadm_id", "intime"])
     labs_w, unlinked_labs = window_24h(labevents, lab_stays, key="hadm_id")
     report["unlinked"]["labevents"] = unlinked_labs
-    item = labs_w.values("itemid")
-    lab_names = np.array([LAB_ITEMS.get(int(i), "") for i in item], dtype=object)
-    labs_long = labs_w.with_column("variable", "str", lab_names)
-    labs_long = labs_long.filter(np.array([n != "" for n in lab_names], dtype=bool))
+    lab_names = _item_names(labs_w.values("itemid"), LAB_ITEMS)
+    labs_long = labs_w.filter(lab_names != "")
+    labs_long = labs_long.with_column("variable", "str", lab_names[lab_names != ""])
     labs_long, lab_counts = _apply_rules_long(labs_long, rules)
 
-    report["plausibility"] = _merge_counts(chart_counts, lab_counts)
+    report["plausibility"] = dict(Counter(chart_counts) + Counter(lab_counts))
 
     vital_agg = aggregate_variables(chart_vars, "stay_id", VITAL_NAMES + GCS_NAMES)
     vital_agg = derive_mbp(vital_agg)
@@ -356,25 +345,14 @@ def build_structured_features(chartevents, labevents, diagnoses, proc_events,
 def _apply_rules_long(events, rules):
     """Plausibility masking for long-format (variable, valuenum) events."""
     by_var = {r.variable: r for r in rules}
-    var = events.values("variable")
+    variables, var = np.unique(events.values("variable"), return_inverse=True)
+    rule = [by_var.get(str(v)) for v in variables]
+    lower = np.array([np.nan if r is None else r.lower for r in rule], dtype=float)[var]
+    upper = np.array([np.nan if r is None else r.upper for r in rule], dtype=float)[var]
     vals, mask = events.column("valuenum")
-    counts = {}
-    newly = np.zeros(events.n_rows, dtype=bool)
-    for r in range(events.n_rows):
-        rule = by_var.get(str(var[r]))
-        if rule is None or mask[r]:
-            continue
-        v = float(vals[r])
-        if v < rule.lower or v > rule.upper:
-            newly[r] = True
-            counts[rule.variable] = counts.get(rule.variable, 0) + 1
+    newly = ~mask & ((vals < lower) | (vals > upper))
+    removed = np.bincount(var[newly], minlength=len(variables))
+    counts = {str(v): int(c) for v, c in zip(variables, removed) if c}
     if newly.any():
         events = events.with_column("valuenum", "num", vals, mask | newly)
     return events, counts
-
-
-def _merge_counts(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return out

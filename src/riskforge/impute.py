@@ -161,13 +161,8 @@ def mice_impute(frame, cfg, columns=None):
         columns = [n for n in frame.names if frame.kind(n) == "num"]
     if len(columns) < 2:
         raise ValueError("chained imputation needs >= 2 numeric columns")
-    mats, masks = [], []
-    for name in columns:
-        v, m = frame.column(name)
-        mats.append(np.asarray(v, dtype=float))
-        masks.append(m)
-    X = np.column_stack(mats)
-    M = np.column_stack(masks)
+    X = frame.matrix(columns)
+    M = np.column_stack([frame.mask(n) for n in columns])
 
     targets = [j for j in range(X.shape[1]) if M[:, j].any()]
     for j in targets:

@@ -8,6 +8,7 @@ isolation and byte-identical outputs follow from identical config+seed.
 
 import math
 import os
+import shutil
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from . import design, gbt, glm, impute, lasso, svgplot, text as text_mod
 from .config import stage_seed
 from .cohort import CohortConfig, build_cohort
 from .errors import MissingArtifact, SingularHessian
-from .frame import JoinSpec, PatientFrame, join, read_csv, write_csv
+from .frame import JoinSpec, PatientFrame, join, read_csv, read_header, write_csv
 from .harmonize import build_structured_features, fahrenheit_to_celsius
 from .impute import MiceConfig, default_policies, impute_single, mice_impute, missingness_report
 from .scoring import (calibration, decision_curve, default_dca_grid,
@@ -32,10 +33,17 @@ ID_COLUMNS = ("subject_id", "hadm_id", "stay_id")
 OUTCOME = "in_hospital_death"
 
 
-def atomic_write_csv(frame, path):
+def _atomic(path, write):
+    """Call ``write(tmp)`` and move tmp over ``path``, so readers never see
+    a half-written artifact. Returns ``path``."""
     tmp = f"{path}.tmp"
-    write_csv(frame, tmp)
+    write(tmp)
     os.replace(tmp, path)
+    return path
+
+
+def atomic_write_csv(frame, path):
+    return _atomic(path, lambda tmp: write_csv(frame, tmp))
 
 
 def _rows_frame(columns):
@@ -108,11 +116,8 @@ def run_cohort(cfg):
 
 def _read_cohort(cfg, stage):
     path = _need(os.path.join(cfg.out_dir, "cohort.csv"), stage)
-    import csv as _csv
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = set(next(_csv.reader(fh)))
-    schema = [(n, k) for n, k in COHORT_SCHEMA if n in header]
-    return read_csv(path, schema)
+    header = read_header(path)
+    return read_csv(path, [(n, k) for n, k in COHORT_SCHEMA if n in header])
 
 
 def effective_plausibility(cfg):
@@ -165,11 +170,8 @@ def run_features(cfg):
 
 
 def _features_schema(path):
-    import csv as _csv
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(_csv.reader(fh))
     schema = []
-    for name in header:
+    for name in read_header(path):
         if name in ID_COLUMNS or name == OUTCOME or name in (
                 "hypertension", "heart_failure", "myocardial_infarction",
                 "diabetes", "copd", "received_ventilation", "epinephrine",
@@ -271,10 +273,7 @@ def run_text(cfg):
 
 def _write_basis(cfg, prefix, basis):
     path = os.path.join(cfg.out_dir, f"{prefix}.basis.csv")
-    tmp = f"{path}.tmp"
-    text_mod.save_basis(basis, tmp)
-    os.replace(tmp, path)
-    return path
+    return _atomic(path, lambda tmp: text_mod.save_basis(basis, tmp))
 
 
 def _write_vocab(cfg, kind, model):
@@ -399,10 +398,7 @@ def run_select(cfg):
         ]), p)
         outs.append(p)
         mp = os.path.join(cfg.out_dir, f"gbt_model_{variant}.txt")
-        tmp = f"{mp}.tmp"
-        gbt.save_model(model, tmp)
-        os.replace(tmp, mp)
-        outs.append(mp)
+        outs.append(_atomic(mp, lambda tmp: gbt.save_model(model, tmp)))
 
         union = glm.consolidate_features(lasso_names, gbt_names)
         in_lasso = [1.0 if n in lasso_names else 0.0 for n in union]
@@ -422,27 +418,17 @@ def run_select(cfg):
 
 
 def _alias(cfg, pairs):
-    import shutil as _shutil
-    out = []
-    for src, dst in pairs:
-        s = os.path.join(cfg.out_dir, src)
-        d = os.path.join(cfg.out_dir, dst)
-        tmp = f"{d}.tmp"
-        _shutil.copyfile(s, tmp)
-        os.replace(tmp, d)
-        out.append(d)
-    return out
+    return [_atomic(os.path.join(cfg.out_dir, dst),
+                    lambda tmp: shutil.copyfile(os.path.join(cfg.out_dir, src), tmp))
+            for src, dst in pairs]
 
 
 def _read_selected(cfg, variant, stage):
     path = _need(os.path.join(cfg.out_dir, f"selected_{variant}.csv"), stage)
     frame = read_csv(path, [("feature", "str"), ("in_lasso", "int"), ("in_gbt", "int")])
     feats = frame.values("feature")
-    in_lasso = frame.values("in_lasso")
-    in_gbt = frame.values("in_gbt")
-    lasso_set = [str(f) for f, b in zip(feats, in_lasso) if b == 1.0]
-    gbt_set = [str(f) for f, b in zip(feats, in_gbt) if b == 1.0]
-    return lasso_set, gbt_set, [str(f) for f in feats]
+    return (feats[frame.values("in_lasso") == 1.0].tolist(),
+            feats[frame.values("in_gbt") == 1.0].tolist(), feats.tolist())
 
 
 def run_fit(cfg):
@@ -585,7 +571,7 @@ def run_evaluate(cfg):
 
     any_pf = next(iter(models.values()))
     split = any_pf.values("split")
-    val = np.array([s == "val" for s in split], dtype=bool)
+    val = split == "val"
     train = ~val
     y_all = any_pf.values("y")
 
@@ -736,12 +722,9 @@ def run_report(cfg):
     met_path = _need(os.path.join(cfg.out_dir, "metrics.csv"), "report")
     met = read_csv(met_path, [("model", "str"), ("auc", "num"), ("accuracy", "num"),
                               ("f1_pos", "num"), ("recall_pos", "num")])
-    by_model = {}
-    for i, name in enumerate(met.values("model")):
-        by_model[str(name)] = {
-            "auc": met.values("auc")[i], "accuracy": met.values("accuracy")[i],
-            "f1_pos": met.values("f1_pos")[i], "recall_pos": met.values("recall_pos")[i],
-        }
+    by_model = {str(name): {k: met.values(k)[i]
+                            for k in ("auc", "accuracy", "f1_pos", "recall_pos")}
+                for i, name in enumerate(met.values("model"))}
     sm = by_model.get("structured_combined", {})
     mm = by_model.get("multimodal_combined", {})
     metric_rows = [

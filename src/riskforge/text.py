@@ -8,13 +8,12 @@ sparse term weights (no centering), PCA for dense note embeddings
 in the reduced space plus a presence indicator column.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, EmptyCorpus
-from .frame import PatientFrame
+from .errors import ConvergenceFailure, EmptyCorpus, IoFailure
+from .frame import PatientFrame, index_of, read_csv, read_header, write_csv
 
 # 174 common English function words; negation terms ("no", "not", "nor")
 # are kept out because they carry prognostic signal in clinical narrative.
@@ -60,25 +59,21 @@ class CoverageReport:
 def select_notes(notes, cohort, kind):
     """At most one note per cohort admission: the earliest charttime.
 
-    Returns (records sorted by hadm_id, CoverageReport).
+    An undated note loses to a dated one; among equal times the earlier row
+    wins. Returns (records sorted by hadm_id, CoverageReport).
     """
-    cohort_hadm = {int(h) for h in cohort.values("hadm_id")}
+    cohort_hadm = np.unique(cohort.values("hadm_id").astype(int))
     hadm, hmask = notes.column("hadm_id")
     ct, cmask = notes.column("charttime")
+    t = np.where(cmask, np.inf, ct)
+    live = np.flatnonzero(~hmask & np.isin(hadm, cohort_hadm))
+    rows = live[np.lexsort((t[live], hadm[live]))]  # stable: ties keep row order
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = hadm[rows][1:] != hadm[rows][:-1]
+    rows = rows[first]
     text = notes.values("text")
-    best = {}
-    for r in range(notes.n_rows):
-        if hmask[r]:
-            continue
-        h = int(hadm[r])
-        if h not in cohort_hadm:
-            continue
-        t = math.inf if cmask[r] else float(ct[r])
-        cand = (t, r)
-        if h not in best or cand < best[h]:
-            best[h] = cand
-    records = [NoteRecord(h, kind, best[h][0], str(text[best[h][1]]))
-               for h in sorted(best)]
+    records = [NoteRecord(int(h), kind, float(c), str(x))
+               for h, c, x in zip(hadm[rows], t[rows], text[rows])]
     return records, CoverageReport(kind, len(records), len(cohort_hadm))
 
 
@@ -239,76 +234,62 @@ def apply_text_block(cohort, blocks):
     exactly zero regardless of centering. Adds has_discharge_note /
     has_radiology_note indicators.
     """
-    hadm = cohort.values("hadm_id").astype(int)
-    out = cohort.select(["hadm_id"])
+    hadm, hmask = cohort.column("hadm_id")
+    spec = [("hadm_id", cohort.kind("hadm_id"), hadm, hmask)]
     presence = {"discharge": np.zeros(len(hadm)), "radiology": np.zeros(len(hadm))}
     for prefix, _, modality in TEXT_BLOCKS:
         if prefix not in blocks:
             continue
         vectors, dim = blocks[prefix]
+        row = index_of(np.fromiter(vectors, dtype=float, count=len(vectors)), hadm)
         mat = np.zeros((len(hadm), dim))
-        for i, h in enumerate(hadm.tolist()):
-            vec = vectors.get(h)
-            if vec is not None:
-                mat[i] = vec
-                presence[modality][i] = 1.0
-        for j in range(dim):
-            out = out.with_column(f"{prefix}_{j + 1}", "num", mat[:, j])
-    out = out.with_column("has_discharge_note", "int", presence["discharge"])
-    out = out.with_column("has_radiology_note", "int", presence["radiology"])
-    return out
+        if vectors:
+            mat[row >= 0] = np.array(list(vectors.values()), dtype=float)[row[row >= 0]]
+        presence[modality][row >= 0] = 1.0
+        spec += [(f"{prefix}_{j + 1}", "num", mat[:, j]) for j in range(dim)]
+    spec.append(("has_discharge_note", "int", presence["discharge"]))
+    spec.append(("has_radiology_note", "int", presence["radiology"]))
+    return PatientFrame.from_columns(spec)
 
 
 def save_basis(basis, path):
     """Write a ReducedBasis as CSV (center row first when present)."""
-    import csv as _csv
-
-    d = basis.components.shape[1]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["role", "index", "explained_ratio"] +
-                        [f"v{j}" for j in range(d)])
-        if basis.center is not None:
-            writer.writerow(["center", 0, repr(0.0)] +
-                            [repr(float(v)) for v in basis.center])
-        for i in range(basis.retained):
-            writer.writerow(["component", i + 1, repr(float(basis.explained_ratio[i]))] +
-                            [repr(float(v)) for v in basis.components[i]])
+    r, lead = basis.retained, int(basis.center is not None)
+    mat = np.vstack(([basis.center] if lead else []) + [basis.components[:r]])
+    write_csv(PatientFrame.from_columns(
+        [("role", "str", ["center"] * lead + ["component"] * r),
+         ("index", "int", np.arange(1 - lead, r + 1, dtype=float)),
+         ("explained_ratio", "num", np.concatenate([np.zeros(lead), basis.explained_ratio[:r]]))]
+        + [(f"v{j}", "num", mat[:, j]) for j in range(mat.shape[1])]), path)
 
 
 def load_basis(path, kind=None):
-    import csv as _csv
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        d = len(header) - 3
-        center = None
-        comps, ratios = [], []
-        for row in reader:
-            vec = np.array([float(v) for v in row[3:]], dtype=float)
-            if row[0] == "center":
-                center = vec
-            else:
-                comps.append(vec)
-                ratios.append(float(row[2]))
-    components = np.vstack(comps) if comps else np.zeros((0, d))
+    values = read_header(path)[3:]
+    frame = read_csv(path, [("role", "str"), ("explained_ratio", "num")]
+                     + [(v, "num") for v in values])
+    mat = frame.matrix(values)
+    is_center = frame.values("role") == "center"
+    center = mat[is_center][-1] if is_center.any() else None
     if kind is None:
         kind = "pca" if center is not None else "svd"
-    return ReducedBasis(kind, components, np.array(ratios), center, len(comps))
+    return ReducedBasis(kind, mat[~is_center], frame.values("explained_ratio")[~is_center],
+                        center, int((~is_center).sum()))
 
 
 def read_embeddings(path):
-    """CSV of hadm_id + dense embedding columns -> (hadm->vector dict, dim)."""
-    import csv as _csv
+    """CSV of hadm_id + dense embedding columns -> (hadm->vector dict, dim).
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        if header[0] != "hadm_id":
-            raise ValueError(f"{path}: first column must be hadm_id")
-        dim = len(header) - 1
-        out = {}
-        for row in reader:
-            out[int(float(row[0]))] = np.array([float(v) for v in row[1:]], dtype=float)
-    return out, dim
+    The first column must be hadm_id; a blank or non-numeric cell is an
+    IoFailure.
+    """
+    header = read_header(path)
+    if header[:1] != ["hadm_id"]:
+        raise IoFailure(f"{path}: first column must be hadm_id, not {header[:1]}")
+    frame = read_csv(path, [("hadm_id", "int")] + [(h, "num") for h in header[1:]])
+    hadm, hmask = frame.column("hadm_id")
+    mat = frame.matrix(header[1:])
+    bad = hmask | np.isnan(mat).any(axis=1)
+    if bad.any():
+        raise IoFailure(f"{path}: blank or non-numeric cell on data row "
+                        f"{int(np.flatnonzero(bad)[0]) + 1}")
+    return dict(zip(hadm.astype(int).tolist(), mat)), len(header) - 1

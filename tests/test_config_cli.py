@@ -168,3 +168,45 @@ class TestCli:
         assert main(["synth", "--config", str(cfg), "--out", str(target)]) == 0
         assert (target / "ground_truth.csv").exists()
         assert (target / "chartevents.csv").exists()
+
+
+class TestMalformedInputs:
+    """Malformed input files exit 1 with one line on stderr, no traceback."""
+
+    def run_text(self, tmp_path, capsys):
+        rc = main(["text", "--config", str(TestCli().cfg_file(tmp_path))])
+        err = capsys.readouterr().err
+        return rc, err
+
+    def prepared(self, tmp_path):
+        cfg = TestCli().cfg_file(tmp_path)
+        assert main(["synth", "--config", str(cfg)]) == 0
+        assert main(["cohort", "--config", str(cfg)]) == 0
+        return tmp_path / "data" / "discharge_emb.csv"
+
+    def test_empty_cohort_csv_exits_1(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "cohort.csv").write_text("")
+        rc, err = self.run_text(tmp_path, capsys)
+        assert rc == 1
+        assert err.count("\n") == 1 and "cohort.csv" in err and "empty" in err
+
+    def test_embedding_file_without_leading_hadm_id_exits_1(self, tmp_path, capsys):
+        emb = self.prepared(tmp_path)
+        lines = emb.read_text().splitlines(keepends=True)
+        emb.write_text(lines[0].replace("hadm_id", "admission", 1) + "".join(lines[1:]))
+        capsys.readouterr()
+        rc, err = self.run_text(tmp_path, capsys)
+        assert rc == 1
+        assert err.count("\n") == 1 and "hadm_id" in err
+
+    def test_blank_embedding_cell_exits_1(self, tmp_path, capsys):
+        emb = self.prepared(tmp_path)
+        lines = emb.read_text().splitlines(keepends=True)
+        cells = lines[2].split(",")
+        cells[1] = ""
+        emb.write_text("".join(lines[:2]) + ",".join(cells) + "".join(lines[3:]))
+        capsys.readouterr()
+        rc, err = self.run_text(tmp_path, capsys)
+        assert rc == 1
+        assert err.count("\n") == 1 and "discharge_emb.csv" in err

@@ -1,3 +1,7 @@
+import csv
+import math
+from datetime import datetime, timedelta
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,3 +194,324 @@ def test_frames_are_value_immutable_after_construction():
     vals = f.values("a")
     vals[0] = 99.0
     assert f.values("a").tolist() == [1.0, 2.0]
+
+
+# --- per-cell reference codec: the cell semantics the column codec keeps ---
+
+EPOCH = datetime(1970, 1, 1)
+TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
+
+
+def reference_cell(text, kind):
+    """(value, missing) of one cell, parsed on its own."""
+    if kind == "str":
+        return text, False
+    if text == "":
+        return math.nan, True
+    try:
+        if kind == "time":
+            return (datetime.strptime(text, TIME_FORMAT) - EPOCH).total_seconds(), False
+        if kind == "int":
+            return float(int(float(text))), False
+        v = float(text)
+        return v, math.isnan(v)  # a NaN is a missing value
+    except (ValueError, OverflowError):
+        return math.nan, True
+
+
+def reference_format(value, missing, kind):
+    """One cell as written, formatted on its own."""
+    if missing:
+        return ""
+    if kind == "str":
+        return str(value)
+    if kind == "int":
+        return str(int(round(float(value))))
+    if kind == "time":
+        return (EPOCH + timedelta(seconds=float(value))).strftime(TIME_FORMAT)
+    return repr(float(value))
+
+
+TRICKY = {
+    "num": ["1.5", " 1.5 ", "1_0", "nan", "NaN", "inf", "-inf", "1e400", "-1e400",
+            "1e-400", "-0.5", "-0.0", "abc", " ", "\t2\t", "+3", ".5", "5.", "0x10", ""],
+    "int": ["7.9", "-7.9", "-0.5", "1e20", "1e400", "nan", "inf", "1_0", " 3 ",
+            "abc", "12", "-4", ""],
+    "time": ["2150-03-04 05:06:07", "2150-3-4 5:6:7", "2150-03-04",
+             "2150-03-04T05:06:07", " 2150-03-04 05:06:07", "2150-03-04 05:06:07 ",
+             "2150-03-04 24:00:00", "2150-03-04 23:60:00", "2150-03-04 23:59:60",
+             "2150-02-30 00:00:00", "2151-02-29 00:00:00", "2152-02-29 12:00:00",
+             "0000-01-01 00:00:00", "1969-12-31 23:59:59", "abc", " ", ""],
+    "str": ["", " a ", "x,y", '"q"', "nan", "2150-03-04"],
+}
+
+VALID = {
+    "num": st.floats(allow_nan=False).map(repr),
+    "int": st.integers(-10 ** 9, 10 ** 9).map(str),
+    "time": st.datetimes(min_value=datetime(1000, 1, 1),
+                         max_value=datetime(9999, 12, 31)).map(
+                             lambda d: d.strftime(TIME_FORMAT)),
+    "str": st.text(alphabet="ab ,\"'", max_size=5),
+}
+
+
+def write_cells(path, columns):
+    """Write {name: [cell, ...]} through the csv module, quoting as it does."""
+    names = list(columns)
+    n = len(columns[names[0]])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for r in range(n):
+            writer.writerow([columns[c][r] for c in names])
+
+
+def assert_matches_reference(frame, name, kind, cells):
+    vals, mask = frame.column(name)
+    expected = [reference_cell(c, kind) for c in cells]
+    assert mask.tolist() == [m for _, m in expected], (name, cells)
+    for cell, v, m, (ev, em) in zip(cells, vals, mask, expected):
+        if m:
+            continue
+        if kind == "str":
+            assert v == ev
+        else:
+            # bitwise: -0.0 and 0.0 must not be confused either
+            assert np.float64(v).tobytes() == np.float64(ev).tobytes(), (cell, v, ev)
+
+
+class TestReadCsvOracle:
+    @pytest.mark.parametrize("kind", ["num", "int", "time", "str"])
+    def test_tricky_cells_match_per_cell_reference(self, tmp_path, kind):
+        cells = TRICKY[kind]
+        write_cells(tmp_path / "x.csv", {"x": cells})
+        frame = read_csv(tmp_path / "x.csv", [("x", kind)])
+        assert_matches_reference(frame, "x", kind, cells)
+
+    @pytest.mark.parametrize("kind", ["num", "int", "time"])
+    def test_each_tricky_cell_alone_in_a_valid_column(self, tmp_path, kind):
+        # one odd cell among well-formed ones, so a column-wide parse must
+        # not decide the odd cell's fate for its neighbours or vice versa
+        good = {"num": "2.25", "int": "3", "time": "2150-01-01 00:00:01"}[kind]
+        for i, odd in enumerate(TRICKY[kind]):
+            cells = [good, odd, good]
+            write_cells(tmp_path / f"x{i}.csv", {"x": cells})
+            frame = read_csv(tmp_path / f"x{i}.csv", [("x", kind)])
+            assert_matches_reference(frame, "x", kind, cells)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_columns_match_per_cell_reference(self, tmp_path_factory, data):
+        n = data.draw(st.integers(0, 10))
+        columns = {}
+        for kind in ("num", "int", "time", "str"):
+            cell = st.one_of(st.sampled_from(TRICKY[kind]), VALID[kind])
+            columns[kind] = data.draw(st.lists(cell, min_size=n, max_size=n))
+        path = tmp_path_factory.mktemp("oracle") / "x.csv"
+        write_cells(path, columns)
+        frame = read_csv(path, [(k, k) for k in columns])
+        assert frame.n_rows == n
+        for kind, cells in columns.items():
+            assert_matches_reference(frame, kind, kind, cells)
+
+    def test_short_rows_read_as_blank_cells(self, tmp_path):
+        p = tmp_path / "ev.csv"
+        p.write_text("a,b,c\n1,2,3\n4\n\n7,8\n")
+        f = read_csv(p, [("a", "num"), ("c", "num"), ("b", "str")])
+        assert f.mask("a").tolist() == [False, False, True, False]
+        assert f.mask("c").tolist() == [False, True, True, True]
+        assert f.values("b").tolist() == ["2", "", "", "8"]
+
+
+class TestWriteCsvOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_bytes_match_per_cell_reference(self, tmp_path_factory, data):
+        n = data.draw(st.integers(0, 10))
+        draw = lambda strat: data.draw(st.lists(strat, min_size=n, max_size=n))  # noqa: E731
+        half = st.integers(-20, 20).map(lambda k: k + 0.5)
+        columns = {
+            "num": ("num", draw(st.one_of(st.floats(allow_nan=False),
+                                          st.sampled_from([-0.0, 0.0, 0.1, 1e16])))),
+            "int": ("int", draw(st.one_of(st.integers(-10 ** 12, 10 ** 12).map(float), half))),
+            "time": ("time", draw(st.one_of(
+                st.floats(-1e9, 1e10),
+                st.sampled_from([-0.5, 1.9999994, 1.9999996, 0.0000005, 0.0000015,
+                                 5685656767.9999996, -1.0000004])))),
+            "str": ("str", draw(VALID["str"])),
+        }
+        masks = {name: np.array(draw(st.booleans()), dtype=bool) for name in columns}
+        frame = PatientFrame.from_columns([
+            (name, kind, np.array(vals, dtype=float) if kind != "str" else vals,
+             masks[name] if kind != "str" else None)
+            for name, (kind, vals) in columns.items()])
+        path = tmp_path_factory.mktemp("fmt") / "x.csv"
+        write_csv(frame, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == list(columns)
+        assert len(rows) == n + 1
+        for j, (name, (kind, vals)) in enumerate(columns.items()):
+            mask = masks[name] if kind != "str" else np.zeros(n, dtype=bool)
+            expected = [reference_format(v, m, kind) for v, m in zip(vals, mask)]
+            assert [r[j] for r in rows[1:]] == expected, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_read_of_write_equals_original(tmp_path_factory, data):
+    n = data.draw(st.integers(0, 12))
+    draw = lambda strat: data.draw(st.lists(strat, min_size=n, max_size=n))  # noqa: E731
+    mask = lambda: np.array(draw(st.booleans()), dtype=bool)  # noqa: E731
+    frame = PatientFrame.from_columns([
+        ("k", "int", np.array(draw(st.integers(-10 ** 12, 10 ** 12)), dtype=float), mask()),
+        ("v", "num", np.array(draw(st.floats(allow_nan=False)), dtype=float), mask()),
+        ("t", "time", np.array(draw(st.integers(-30_000_000_000, 200_000_000_000)),
+                               dtype=float), mask()),
+        ("s", "str", draw(st.text(alphabet="ab ,\"'\n", max_size=6))),
+    ])
+    path = tmp_path_factory.mktemp("rt") / "a.csv"
+    write_csv(frame, path)
+    back = read_csv(path, [("k", "int"), ("v", "num"), ("t", "time"), ("s", "str")])
+    assert back.equals(frame)
+
+
+def reference_join(left, right, keys, kind):
+    """(left_row, right_row-or-None) pairs by nested loops over the rows."""
+    def key(frame, r):
+        out = []
+        for k in keys:
+            vals, mask = frame.column(k)
+            if mask[r]:
+                return None
+            out.append(str(vals[r]) if frame.kind(k) == "str" else float(vals[r]))
+        return tuple(out)
+
+    pairs = []
+    for l in range(left.n_rows):
+        kl = key(left, l)
+        matches = [(l, r) for r in range(right.n_rows)
+                   if kl is not None and key(right, r) == kl]
+        pairs += matches or ([(l, None)] if kind == "left" else [])
+    return pairs
+
+
+def assert_join_matches_reference(left, right, keys, kind):
+    out = join(left, right, JoinSpec(tuple(keys), kind))
+    pairs = reference_join(left, right, keys, kind)
+    assert out.n_rows == len(pairs)
+    lrows = np.array([p[0] for p in pairs], dtype=int)
+    for name in left.names:
+        vals, mask = left.column(name)
+        assert out.mask(name).tolist() == mask[lrows].tolist()
+        assert out.values(name).tolist() == vals[lrows].tolist() or \
+            np.array_equal(out.values(name), vals[lrows], equal_nan=True)
+    extra = [n for n in right.names if n not in keys]
+    assert out.names == left.names + [n + "_r" if n in left.names else n for n in extra]
+    for name, out_name in zip(extra, out.names[left.n_cols:]):
+        vals, mask = right.column(name)
+        got_v, got_m = out.column(out_name)
+        for i, (_, r) in enumerate(pairs):
+            if r is None or mask[r]:
+                assert got_m[i]
+            else:
+                assert not got_m[i] and got_v[i] == vals[r]
+
+
+class TestJoinOracle:
+    def test_one_to_many_keeps_right_order(self):
+        left = make_frame(hadm_id=("int", [2.0, 1.0]), a=("num", [20.0, 10.0]))
+        right = make_frame(hadm_id=("int", [1.0, 2.0, 1.0, 1.0]),
+                           b=("num", [1.0, 2.0, 3.0, 4.0]))
+        out = join(left, right, JoinSpec(("hadm_id",), "inner"))
+        assert out.values("a").tolist() == [20.0, 10.0, 10.0, 10.0]
+        assert out.values("b").tolist() == [2.0, 1.0, 3.0, 4.0]
+
+    def test_masked_keys_never_match(self):
+        left = make_frame(hadm_id=("int", [np.nan, 1.0], np.array([True, False])),
+                          a=("num", [1.0, 2.0]))
+        right = make_frame(hadm_id=("int", [np.nan, 1.0], np.array([True, False])),
+                           b=("num", [5.0, 6.0]))
+        inner = join(left, right, JoinSpec(("hadm_id",), "inner"))
+        assert inner.values("a").tolist() == [2.0]
+        outer = join(left, right, JoinSpec(("hadm_id",), "left"))
+        assert outer.mask("b").tolist() == [True, False]
+        assert outer.values("b")[1] == 6.0
+
+    def test_two_keys_match_only_on_both(self):
+        left = make_frame(subject_id=("int", [1.0, 1.0, 2.0]),
+                          hadm_id=("int", [10.0, 11.0, 10.0]))
+        right = make_frame(subject_id=("int", [1.0, 2.0, 1.0]),
+                           hadm_id=("int", [11.0, 10.0, 12.0]),
+                           b=("str", ["x", "y", "z"]))
+        out = join(left, right, JoinSpec(("subject_id", "hadm_id"), "left"))
+        assert out.values("b").tolist() == ["", "x", "y"]
+        assert out.mask("b").tolist() == [True, False, False]
+
+    def test_left_order_is_output_order(self):
+        left = make_frame(k=("int", [3.0, 1.0, 2.0, 1.0]))
+        right = make_frame(k=("int", [1.0, 2.0, 3.0]), b=("num", [1.0, 2.0, 3.0]))
+        out = join(left, right, JoinSpec(("k",), "inner"))
+        assert out.values("k").tolist() == [3.0, 1.0, 2.0, 1.0]
+        assert out.values("b").tolist() == [3.0, 1.0, 2.0, 1.0]
+
+    def test_left_join_with_empty_right_keeps_left_rows(self):
+        left = make_frame(k=("int", [1.0, 2.0]))
+        right = make_frame(k=("int", []), b=("str", []))
+        out = join(left, right, JoinSpec(("k",), "left"))
+        assert out.values("k").tolist() == [1.0, 2.0]
+        assert out.mask("b").tolist() == [True, True]
+
+    def test_text_key_never_equals_numeric_key(self):
+        left = make_frame(k=("str", ["1.0", "1"]))
+        right = make_frame(k=("num", [1.0]), b=("num", [7.0]))
+        assert join(left, right, JoinSpec(("k",), "inner")).n_rows == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["inner", "left"]),
+           two_keys=st.booleans())
+    def test_random_frames_match_nested_loops(self, data, kind, two_keys):
+        def side(name, min_rows):
+            n = data.draw(st.integers(min_rows, 8), label=f"{name} rows")
+            rows = lambda strat: data.draw(st.lists(strat, min_size=n, max_size=n))  # noqa: E731
+            spec = [("k1", "int", np.array(rows(st.integers(0, 3)), dtype=float),
+                     np.array(rows(st.booleans()), dtype=bool) & (n > 0))]
+            if two_keys:
+                spec.append(("k2", "str", rows(st.sampled_from(["a", "b"]))))
+            spec.append(("v", "num", np.array(rows(st.floats(-5, 5)), dtype=float),
+                         np.array(rows(st.booleans()), dtype=bool)))
+            spec.append((f"only_{name}", "str", rows(st.sampled_from(["p", "q"]))))
+            return PatientFrame.from_columns(spec)
+
+        left, right = side("left", 0), side("right", 1)
+        keys = ["k1", "k2"] if two_keys else ["k1"]
+        assert_join_matches_reference(left, right, keys, kind)
+
+
+class TestAggregateOracle:
+    def test_mean_is_bitwise_per_group_np_mean(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            n = int(rng.integers(1, 3000))
+            keys = rng.integers(0, int(rng.integers(1, 60)), n).astype(float)
+            vals = rng.normal(0, 1, n) * 10.0 ** rng.integers(-3, 6, n)
+            mask = rng.uniform(size=n) < 0.2
+            f = make_frame(stay_id=("int", keys), v=("num", vals, mask))
+            out = aggregate_by_key(f, "stay_id", ["mean", "min", "max"])
+            first_seen = list(dict.fromkeys(keys[~np.zeros(n, dtype=bool)].tolist()))
+            assert out.values("stay_id").tolist() == first_seen
+            for i, k in enumerate(first_seen):
+                live = vals[(keys == k) & ~mask]
+                if live.size == 0:
+                    assert out.mask("v_mean")[i] and out.mask("v_max")[i]
+                    continue
+                assert out.values("v_mean")[i] == np.mean(live)
+                assert out.values("v_min")[i] == live.min()
+                assert out.values("v_max")[i] == live.max()
+
+    def test_masked_key_rows_dropped_and_text_keys_group(self):
+        f = make_frame(k=("str", ["b", "a", "b", "c"], np.array([False, False, False, True])),
+                       v=("num", [1.0, 2.0, 3.0, 4.0]))
+        out = aggregate_by_key(f, "k", ["mean"])
+        assert out.values("k").tolist() == ["b", "a"]
+        assert out.values("v_mean").tolist() == [2.0, 2.0]

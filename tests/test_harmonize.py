@@ -6,6 +6,7 @@ from riskforge.errors import ComponentOutOfRange
 from riskforge.harmonize import (DEFAULT_PLAUSIBILITY, PlausibilityRule,
                                  apply_plausibility, binary_flags,
                                  convert_temperature, derive_mbp,
+                                 build_structured_features,
                                  fahrenheit_to_celsius, gcs_total, mean_bp,
                                  window_24h)
 
@@ -174,3 +175,86 @@ class TestFlags:
         assert out.values("heart_failure").tolist() == [1.0, 0.0]
         assert out.values("diabetes").tolist() == [0.0, 1.0]
         assert out.values("dopamine").tolist() == [0.0, 1.0]
+
+
+class TestStructuredFeatures:
+    """Hand-computed features for two stays; stay 2 charts nothing."""
+
+    T0 = 1_000_000.0
+
+    def build(self):
+        t = lambda hours: self.T0 + hours * HOUR  # noqa: E731
+        cohort = make_frame(
+            subject_id=("int", [1.0, 2.0]), hadm_id=("int", [10.0, 20.0]),
+            stay_id=("int", [100.0, 200.0]), anchor_age=("num", [60.0, 70.0]),
+            in_hospital_death=("int", [1.0, 0.0]),
+            intime=("time", [self.T0, self.T0]))
+        chart = [
+            # temperature: Celsius under every label, unlabelled below 50, F
+            (100, 1, 223761, 37.0, "C"), (100, 2, 223761, 36.0, "°C"),
+            (100, 3, 223761, 38.0, "celsius"), (100, 4, 223761, 37.5, ""),
+            (100, 5, 223761, 99.0, ""), (100, 6, 223762, 36.5, ""),
+            (100, 7, 223761, 97.0, "F"),
+            # arterial and cuff SBP at one time are pooled before aggregation
+            (100, 1, 220050, 120.0, ""), (100, 1, 220179, 110.0, ""),
+            (100, 2, 220179, 130.0, ""),
+            # one implausible heart rate is masked and counted
+            (100, 1, 220045, 70.0, ""), (100, 2, 220045, 400.0, ""),
+            (100, 3, 220045, 80.0, ""),
+            (100, 1, 220739, 4.0, ""), (100, 1, 223900, 5.0, ""),
+            (100, 1, 223901, 6.0, ""),
+            # outside the window, unknown item, unlinked stay
+            (100, 25, 220045, 10.0, ""), (100, 3, 999999, 1.0, ""),
+            (999, 3, 220045, 90.0, ""),
+        ]
+        chartevents = make_frame(
+            stay_id=("int", [float(r[0]) for r in chart]),
+            charttime=("time", [t(r[1]) for r in chart]),
+            itemid=("int", [float(r[2]) for r in chart]),
+            valuenum=("num", [r[3] for r in chart]),
+            valueuom=("str", [r[4] for r in chart]))
+        labs = [(10, 1, 51301, 0.5), (10, 2, 51301, 12.0), (10, 3, 50813, 2.0),
+                (20, 30, 50813, 4.0)]
+        labevents = make_frame(
+            hadm_id=("int", [float(r[0]) for r in labs]),
+            charttime=("time", [t(r[1]) for r in labs]),
+            itemid=("int", [float(r[2]) for r in labs]),
+            valuenum=("num", [r[3] for r in labs]))
+        diagnoses = make_frame(hadm_id=("int", [10.0]), icd_code=("str", ["I509"]))
+        procs = make_frame(stay_id=("int", [200.0]), itemid=("int", [225792.0]))
+        inputs = make_frame(stay_id=("int", []), itemid=("int", []))
+        return build_structured_features(chartevents, labevents, diagnoses, procs,
+                                         inputs, cohort)
+
+    def test_temperature_aligned_to_fahrenheit(self):
+        out, _ = self.build()
+        temps = [37.0 * 9 / 5 + 32, 36.0 * 9 / 5 + 32, 38.0 * 9 / 5 + 32,
+                 37.5 * 9 / 5 + 32, 99.0, 36.5 * 9 / 5 + 32, 97.0]
+        assert out.values("bt_mean")[0] == pytest.approx(np.mean(temps), abs=1e-12)
+        assert out.values("bt_min")[0] == pytest.approx(min(temps), abs=1e-12)
+        assert out.values("bt_max")[0] == pytest.approx(max(temps), abs=1e-12)
+        assert out.mask("bt_mean").tolist() == [False, True]
+
+    def test_simultaneous_readings_pooled(self):
+        out, _ = self.build()
+        assert out.values("sbp_mean")[0] == 122.5
+        assert out.values("sbp_min")[0] == 115.0
+        assert out.values("sbp_max")[0] == 130.0
+
+    def test_plausibility_and_window(self):
+        out, report = self.build()
+        assert out.values("hr_mean")[0] == 75.0
+        assert out.values("hr_max")[0] == 80.0
+        assert out.values("wbc_mean")[0] == 12.0
+        assert out.values("lactate_mean").tolist()[0] == 2.0
+        assert out.mask("lactate_mean").tolist() == [False, True]
+        assert report["plausibility"] == {"hr": 1, "wbc": 1}
+        assert report["unlinked"] == {"chartevents": 1, "labevents": 0}
+
+    def test_totals_and_flags(self):
+        out, _ = self.build()
+        assert out.values("gcs_total")[0] == 15.0
+        assert out.mask("gcs_total").tolist() == [False, True]
+        assert out.values("heart_failure").tolist() == [1.0, 0.0]
+        assert out.values("received_ventilation").tolist() == [0.0, 1.0]
+        assert out.values("subject_id").tolist() == [1.0, 2.0]

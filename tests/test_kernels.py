@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from riskforge import _kernels as K
@@ -82,3 +84,22 @@ def test_lasso_cd_meets_kkt_conditions():
     if nz.any():
         assert np.max(np.abs(grad[nz] + 0.05 * np.sign(b[nz]))) < 1e-6
 
+
+
+def test_lasso_cd_returns_at_once_from_an_optimal_start():
+    from riskforge.lasso import fit_lasso, lambda_max
+
+    X, y = problem(4)
+    logit = math.log(y.mean() / (1.0 - y.mean()))
+    lam = 1.5 * lambda_max(X, y)
+    beta = np.zeros(X.shape[1])
+    b0, iters, conv = K.lasso_cd(X, y, lam, logit, beta, 50000)
+    assert iters == 0 and conv
+    assert np.all(beta == 0.0)
+    assert abs(b0 - logit) < K.TOL
+    b0, beta = fit_lasso(X, y, lam)
+    assert np.all(beta == 0.0) and abs(b0 - logit) < K.TOL
+    # just below lambda_max the start is not optimal and the solver runs
+    beta = np.zeros(X.shape[1])
+    _, iters, conv = K.lasso_cd(X, y, 0.9 * lambda_max(X, y), logit, beta, 50000)
+    assert iters > 0 and conv and beta.any()

@@ -241,3 +241,18 @@ class TestBasisFiles:
         assert loaded.kind == "pca"
         assert np.allclose(loaded.center, basis.center)
         assert np.allclose(loaded.transform(M), basis.transform(M))
+
+
+class TestSelectNotesOrder:
+    def test_time_tie_keeps_first_row_and_undated_note_loses(self):
+        cohort = make_frame(hadm_id=("int", [300.0, 100.0, 200.0]))
+        notes = make_frame(
+            hadm_id=("int", [200.0, 100.0, 100.0, 200.0, 300.0]),
+            charttime=("num", [np.nan, 4.0, 4.0, 9.0, np.nan],
+                       np.array([True, False, False, False, True])),
+            text=("str", ["undated", "a", "b", "dated", "only"]))
+        records, cov = select_notes(notes, cohort, "discharge")
+        assert [r.hadm_id for r in records] == [100, 200, 300]
+        assert [r.text for r in records] == ["a", "dated", "only"]
+        assert records[2].charttime == float("inf")
+        assert cov.covered == 3 and cov.total == 3
