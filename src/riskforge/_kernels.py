@@ -2,8 +2,9 @@
 
 Two kernels dominate pipeline runtime: the L1-penalized logistic solver
 (``fista``, used by cross-validation for all folds at once and, through
-``lasso_cd``, by every single fit) and the sorted split-gain scan of the
-boosted trees (``split_scan``).
+``lasso_cd``, by every single fit) and the split search of the boosted
+trees (``split_scan``): one call per tree node, on (rows x features)
+matrices of values, gradients and hessians, each column sorted by value.
 """
 
 import math
@@ -16,7 +17,8 @@ TOL = 1e-7
 
 # perfbench/ binds this constant and the functions warmup, lasso_cd and
 # split_scan by name, and its tracer swaps the last two by object identity;
-# keep these four names until tracing moves into the library.
+# keep these four names until tracing moves into the library. Its split
+# counters read one call per node and axis 0 of ``vals`` as the node's rows.
 USING_NUMBA = False
 
 
@@ -87,32 +89,50 @@ def lasso_cd(X, y, lam, beta0, beta, max_iter):
     return float(W[0, 0]), it, not live[0]
 
 
-def split_scan(vals, g, h, g_left_base, h_left_base, reg_lambda, gamma):
-    """Best split over one sorted feature column of a tree node.
+def split_scan(vals, g, h, reg_lambda, gamma):
+    """Best split of one tree node, over all of its features at once.
 
-    ``vals`` ascending, no NaNs; ``g``/``h`` aligned gradient/hessian sums.
-    ``g_left_base``/``h_left_base`` carry rows force-routed left (missing
-    values). Returns (best_gain, best_threshold); gain of -inf when no
-    candidate boundary exists.
+    Column j of ``vals`` (rows x features) holds the node's values of
+    feature j ascending, missing values (NaN) last in row order; ``g``/``h``
+    hold the same rows' gradients/hessians in the same order, and are
+    overwritten by running sums. Missing values go left. Returns (feature,
+    gain, threshold) of the first feature of largest gain above 0 at its
+    first boundary of that gain, or the leaf fields (-1, 0.0, 0.0). A
+    feature with a NaN gain is never chosen.
     """
-    m = vals.shape[0]
+    m, p = vals.shape
     if m < 2:
-        return -np.inf, np.nan
-    # prepend the forced-left base: this accumulation order fixes the
-    # rounding of every left sum, and the saved model bytes depend on it
-    acc_g = np.cumsum(np.concatenate(([g_left_base], g)))
-    acc_h = np.cumsum(np.concatenate(([h_left_base], h)))
-    gt = acc_g[-1]
-    ht = acc_h[-1]
-    gl = acc_g[1:-1]
-    hl = acc_h[1:-1]
-    gr = gt - gl
-    hr = ht - hl
-    parent = gt * gt / (ht + reg_lambda)
-    gains = 0.5 * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - parent) - gamma
-    boundary = vals[1:] != vals[:-1]
-    if not boundary.any():
-        return -np.inf, np.nan
-    gains = np.where(boundary, gains, -np.inf)
-    k = int(np.argmax(gains))
-    return float(gains[k]), float(0.5 * (vals[k] + vals[k + 1]))
+        return -1, 0.0, 0.0
+    cols = np.arange(p)
+    n_nan = np.isnan(vals).sum(axis=0)
+    # a forced-left base is np.sum over a contiguous block of just the
+    # missing rows; zeros in place of live rows would change its rounding
+    for c in np.unique(n_nan[n_nan > 0]):
+        f = n_nan == c
+        base = [np.ascontiguousarray(a[m - c:, f].T).sum(axis=1) for a in (g, h)]
+        g[0, f] += base[0]
+        h[0, f] += base[1]
+    # running sums from the forced-left base on: this accumulation order
+    # fixes the rounding of every left sum, and the model bytes depend on it
+    gl = np.cumsum(g, axis=0, out=g)
+    hl = np.cumsum(h, axis=0, out=h)
+    gt = gl[m - n_nan - 1, cols]
+    ht = hl[m - n_nan - 1, cols]
+    gl, hl = gl[:-1], hl[:-1]
+    # term by term, to keep few node-sized temporaries alive
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parent = gt * gt / (ht + reg_lambda)
+        gains = gl * gl / (hl + reg_lambda)
+        right = gt - gl
+        right *= right
+        right /= ht - hl + reg_lambda
+        gains = 0.5 * (gains + right - parent) - gamma
+    # a boundary lies between two distinct values; comparisons with the
+    # missing tail are false, so sums past a feature's live rows never count
+    gains[~(vals[1:] > vals[:-1])] = -np.inf
+    at = np.argmax(gains, axis=0)           # lands on a NaN gain, if any
+    best = np.fmax(gains[at, cols], 0.0)    # which fmax turns into 0
+    if not best.any():
+        return -1, 0.0, 0.0
+    j = int(np.argmax(best))
+    return j, float(best[j]), float(0.5 * (vals[at[j], j] + vals[at[j] + 1, j]))

@@ -5,6 +5,11 @@ Each round fits a depth-limited tree to gradient/hessian statistics
 search over sorted unique values, leaf weights -G/(H+lambda), and gain
 accumulated per feature for importance ranking. Missing feature values
 route to the left child.
+
+As in SLIQ and XGBoost's exact greedy search, each column is stable-sorted
+once per fit (missing values last); a split partitions its node's
+per-feature orders stably, so no node sorts, and one
+``_kernels.split_scan`` call scans all features of a node.
 """
 
 import math
@@ -54,55 +59,51 @@ class GbtModel:
     config: GbtConfig
 
 
-def _leaf_weight(g_sum, h_sum, reg_lambda):
-    return -g_sum / (h_sum + reg_lambda)
-
-
-def _grow_tree(X, g, h, rows, cfg):
+def _grow_tree(X, g, h, rows, sorted_rows, cfg):
+    """Nodes of one tree in preorder, grown depth first from ``rows``
+    (ascending); row j of ``sorted_rows`` holds them sorted by feature j,
+    missing values last, ties in row order."""
     nodes = []
-
-    def build(node_rows, depth):
-        idx = len(nodes)
-        nodes.append(TreeNode())
-        gs = float(g[node_rows].sum())
-        hs = float(h[node_rows].sum())
-        if depth >= cfg.max_depth or node_rows.size < 2:
-            nodes[idx].weight = _leaf_weight(gs, hs, cfg.reg_lambda)
-            return idx
-        best_gain, best_feat, best_thr = 0.0, -1, 0.0
-        for j in range(X.shape[1]):
-            vals = X[node_rows, j]
-            nan = np.isnan(vals)
-            live = node_rows[~nan]
-            if live.size < 2:
-                continue
-            v = X[live, j]
-            order = np.argsort(v, kind="stable")
-            g_nan = float(g[node_rows[nan]].sum())
-            h_nan = float(h[node_rows[nan]].sum())
-            gain, thr = _kernels.split_scan(
-                np.ascontiguousarray(v[order]),
-                np.ascontiguousarray(g[live][order]),
-                np.ascontiguousarray(h[live][order]),
-                g_nan, h_nan, cfg.reg_lambda, cfg.gamma)
-            if gain > best_gain:
-                best_gain, best_feat, best_thr = gain, j, thr
-        if best_feat < 0:
-            nodes[idx].weight = _leaf_weight(gs, hs, cfg.reg_lambda)
-            return idx
-        vals = X[node_rows, best_feat]
-        go_left = np.isnan(vals) | (vals < best_thr)
-        left_rows = node_rows[go_left]
-        right_rows = node_rows[~go_left]
-        nodes[idx].feature = best_feat
-        nodes[idx].threshold = best_thr
-        nodes[idx].gain = best_gain
-        nodes[idx].left = build(left_rows, depth + 1)
-        nodes[idx].right = build(right_rows, depth + 1)
-        return idx
-
-    build(rows, 0)
+    cols = np.arange(X.shape[1])
+    goes_left = np.zeros(X.shape[0], dtype=bool)   # read at the split's rows only
+    # (rows, sorted rows, depth, parent, side): children wait here, so a
+    # node's arrays are dropped once it is split
+    stack = [(rows, sorted_rows, 0, None, "")]
+    while stack:
+        node_rows, sorted_rows, depth, parent, side = stack.pop()
+        if parent is not None:
+            setattr(parent, side, len(nodes))
+        node = TreeNode()
+        nodes.append(node)
+        if depth < cfg.max_depth and node_rows.size >= 2:
+            # the gathered (rows x features) matrices are freed on return
+            by_value = sorted_rows.T
+            node.feature, node.gain, node.threshold = _kernels.split_scan(
+                X[by_value, cols], g[by_value], h[by_value], cfg.reg_lambda, cfg.gamma)
+        if node.feature < 0:
+            g_sum, h_sum = float(g[node_rows].sum()), float(h[node_rows].sum())
+            node.weight = -g_sum / (h_sum + cfg.reg_lambda)
+            continue
+        vals = X[node_rows, node.feature]
+        go_left = np.isnan(vals) | (vals < node.threshold)
+        goes_left[node_rows] = go_left
+        in_left = goes_left[sorted_rows]
+        p = len(sorted_rows)
+        stack.append((node_rows[~go_left], sorted_rows[~in_left].reshape(p, -1),
+                      depth + 1, node, "right"))
+        stack.append((node_rows[go_left], sorted_rows[in_left].reshape(p, -1),
+                      depth + 1, node, "left"))
     return nodes
+
+
+def _gain_by_feature(trees, names):
+    importance = {}
+    for nodes in trees:
+        for nd in nodes:
+            if nd.feature >= 0:
+                key = names[nd.feature]
+                importance[key] = importance.get(key, 0.0) + nd.gain
+    return importance
 
 
 def _tree_predict(nodes, X):
@@ -132,13 +133,15 @@ def fit_gbt(X, y, cfg, names=None, record=None):
     n, p = X.shape
     if names is None:
         names = [f"x{j}" for j in range(p)]
+    if len(names) != p or len(y) != n:
+        raise ValueError(f"X is {n}x{p}; {len(y)} outcomes, {len(names)} feature names")
     rng = np.random.default_rng(cfg.seed)
+    order = np.argsort(X, axis=0, kind="stable").T   # NaNs sort last
 
     ybar = min(max(float(y.mean()), 1e-12), 1.0 - 1e-12)
     base = float(np.clip(math.log(ybar / (1.0 - ybar)), -10.0, 10.0))
     f = np.full(n, base)
     trees = []
-    importance = {}
     k = max(1, int(math.floor(cfg.subsample * n)))
     for _ in range(cfg.n_trees):
         prob = sigmoid(f)
@@ -146,18 +149,17 @@ def fit_gbt(X, y, cfg, names=None, record=None):
         h = prob * (1.0 - prob)
         if cfg.subsample < 1.0:
             rows = np.sort(rng.choice(n, size=k, replace=False))
+            in_tree = np.zeros(n, dtype=bool)
+            in_tree[rows] = True
+            sorted_rows = order[in_tree[order]].reshape(p, k)
         else:
-            rows = np.arange(n)
+            rows, sorted_rows = np.arange(n), order
         if record is not None:
             record.append((rows.copy(), g.copy(), h.copy()))
-        nodes = _grow_tree(X, g, h, rows, cfg)
-        for node in nodes:
-            if node.feature >= 0:
-                key = names[node.feature]
-                importance[key] = importance.get(key, 0.0) + node.gain
+        nodes = _grow_tree(X, g, h, rows, sorted_rows, cfg)
         f = f + cfg.learning_rate * _tree_predict(nodes, X)
         trees.append(nodes)
-    return GbtModel(trees, base, list(names), importance, cfg)
+    return GbtModel(trees, base, list(names), _gain_by_feature(trees, names), cfg)
 
 
 def predict_margin(model, X):
@@ -206,37 +208,49 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """Read a ``save_model`` file; a malformed one raises ValueError naming
+    the path and line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != FORMAT_TAG:
         raise ValueError(f"{path}: not a {FORMAT_TAG} file")
-    base = float(lines[1].split()[1])
-    lr = float(lines[2].split()[1])
-    n_feat = int(lines[3].split()[1])
+
+    def fail(i, what):
+        raise ValueError(f"{path}: line {i + 1}: {what}")
+
+    def parse(i, head, *types):
+        """The fields after ``head`` on line i, converted by ``types``."""
+        if i >= len(lines):
+            fail(i, f"file ends where a '{head}' line is due")
+        parts = lines[i].split(" ", len(types))
+        if len(parts) != len(types) + 1 or parts[0] != head:
+            fail(i, f"expected a '{head}' line with {len(types)} fields")
+        try:
+            return [t(v) for t, v in zip(types, parts[1:])]
+        except ValueError:
+            fail(i, f"malformed '{head}' line")
+
+    [base] = parse(1, "base_score", float)
+    [lr] = parse(2, "learning_rate", float)
+    [n_feat] = parse(3, "n_features", int)
     names = [""] * n_feat
     i = 4
     while i < len(lines) and lines[i].startswith("feature "):
-        _, idx, name = lines[i].split(" ", 2)
-        names[int(idx)] = name
+        idx, name = parse(i, "feature", int, str)
+        if not 0 <= idx < n_feat:
+            fail(i, f"feature index {idx} outside 0..{n_feat - 1}")
+        names[idx] = name
         i += 1
     trees = []
     while i < len(lines):
-        parts = lines[i].split()
-        if parts[0] != "tree":
-            raise ValueError(f"{path}: expected tree header at line {i + 1}")
-        count = int(parts[2])
+        _, count = parse(i, "tree", int, int)
         nodes = []
-        for j in range(count):
-            p = lines[i + 1 + j].split()
-            nodes.append(TreeNode(int(p[2]), float(p[3]), int(p[4]),
-                                  int(p[5]), float(p[6]), float(p[7])))
+        for j in range(i + 1, i + 1 + count):
+            _, *fields = parse(j, "node", int, int, float, int, int, float, float)
+            nodes.append(TreeNode(*fields))
+            if nodes[-1].feature >= n_feat:
+                fail(j, f"feature index {nodes[-1].feature} outside 0..{n_feat - 1}")
         trees.append(nodes)
         i += 1 + count
-    cfg = GbtConfig(learning_rate=lr)
-    importance = {}
-    for nodes in trees:
-        for nd in nodes:
-            if nd.feature >= 0:
-                key = names[nd.feature]
-                importance[key] = importance.get(key, 0.0) + nd.gain
-    return GbtModel(trees, base, names, importance, cfg)
+    return GbtModel(trees, base, names, _gain_by_feature(trees, names),
+                    GbtConfig(learning_rate=lr))

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from riskforge.gbt import (GbtConfig, _tree_predict, fit_gbt, gain_importance,
-                           load_model, predict_margin, predict_proba,
-                           save_model, top_k_features)
+from riskforge.gbt import (GbtConfig, GbtModel, TreeNode, _tree_predict,
+                           fit_gbt, gain_importance, load_model, predict_margin,
+                           predict_proba, save_model, top_k_features)
 from riskforge.glm import sigmoid
 
 
@@ -125,6 +125,137 @@ class TestFit:
             assert np.array_equal(_tree_predict(nodes, Xq), np.array(want))
 
 
+def reference_split_scan(vals, g, h, g_left_base, h_left_base, reg_lambda, gamma):
+    """One sorted feature column, no NaNs: (best gain, threshold)."""
+    m = vals.shape[0]
+    if m < 2:
+        return -np.inf, np.nan
+    acc_g = np.cumsum(np.concatenate(([g_left_base], g)))
+    acc_h = np.cumsum(np.concatenate(([h_left_base], h)))
+    gt = acc_g[-1]
+    ht = acc_h[-1]
+    gl = acc_g[1:-1]
+    hl = acc_h[1:-1]
+    gr = gt - gl
+    hr = ht - hl
+    parent = gt * gt / (ht + reg_lambda)
+    gains = 0.5 * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - parent) - gamma
+    boundary = vals[1:] != vals[:-1]
+    if not boundary.any():
+        return -np.inf, np.nan
+    gains = np.where(boundary, gains, -np.inf)
+    k = int(np.argmax(gains))
+    return float(gains[k]), float(0.5 * (vals[k] + vals[k + 1]))
+
+
+def reference_grow_tree(X, g, h, rows, cfg):
+    """Per-node, per-feature split search: a sort and a scan per feature."""
+    nodes = []
+
+    def build(node_rows, depth):
+        idx = len(nodes)
+        nodes.append(TreeNode())
+        gs = float(g[node_rows].sum())
+        hs = float(h[node_rows].sum())
+        if depth >= cfg.max_depth or node_rows.size < 2:
+            nodes[idx].weight = -gs / (hs + cfg.reg_lambda)
+            return idx
+        best_gain, best_feat, best_thr = 0.0, -1, 0.0
+        for j in range(X.shape[1]):
+            vals = X[node_rows, j]
+            nan = np.isnan(vals)
+            live = node_rows[~nan]
+            if live.size < 2:
+                continue
+            v = X[live, j]
+            order = np.argsort(v, kind="stable")
+            g_nan = float(g[node_rows[nan]].sum())
+            h_nan = float(h[node_rows[nan]].sum())
+            gain, thr = reference_split_scan(v[order], g[live][order], h[live][order],
+                                             g_nan, h_nan, cfg.reg_lambda, cfg.gamma)
+            if gain > best_gain:
+                best_gain, best_feat, best_thr = gain, j, thr
+        if best_feat < 0:
+            nodes[idx].weight = -gs / (hs + cfg.reg_lambda)
+            return idx
+        vals = X[node_rows, best_feat]
+        go_left = np.isnan(vals) | (vals < best_thr)
+        nodes[idx].feature = best_feat
+        nodes[idx].threshold = best_thr
+        nodes[idx].gain = best_gain
+        nodes[idx].left = build(node_rows[go_left], depth + 1)
+        nodes[idx].right = build(node_rows[~go_left], depth + 1)
+        return idx
+
+    build(rows, 0)
+    return nodes
+
+
+def reference_fit(X, y, cfg):
+    n = X.shape[0]
+    rng = np.random.default_rng(cfg.seed)
+    ybar = min(max(float(y.mean()), 1e-12), 1.0 - 1e-12)
+    base = float(np.clip(math.log(ybar / (1.0 - ybar)), -10.0, 10.0))
+    f = np.full(n, base)
+    trees = []
+    k = max(1, int(math.floor(cfg.subsample * n)))
+    for _ in range(cfg.n_trees):
+        prob = sigmoid(f)
+        g = prob - y
+        h = prob * (1.0 - prob)
+        if cfg.subsample < 1.0:
+            rows = np.sort(rng.choice(n, size=k, replace=False))
+        else:
+            rows = np.arange(n)
+        nodes = reference_grow_tree(X, g, h, rows, cfg)
+        f = f + cfg.learning_rate * _tree_predict(nodes, X)
+        trees.append(nodes)
+    names = [f"x{j}" for j in range(X.shape[1])]
+    return GbtModel(trees, base, names, {}, cfg)
+
+
+def oracle_case(seed):
+    """Random data with NaN cells, rounding ties, constant and all-NaN columns.
+
+    Rare positives with reg_lambda 0 and large steps drive some margins past
+    where h = p(1-p) is exactly 0, so that some gains are 0/0 = NaN.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([2, 3, 5, 12, 40, 150, 400]))
+    p = int(rng.integers(1, 7))
+    X = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-3, 4, size=p)
+    for j in range(p):
+        kind = rng.integers(0, 6)
+        if kind == 0:
+            X[:, j] = np.round(X[:, j])           # ties made by rounding
+        elif kind == 1:
+            X[:, j] = rng.integers(0, 3, size=n) * 0.1 + 0.2   # three values
+        elif kind == 2:
+            X[:, j] = float(rng.integers(-2, 3))  # constant
+        elif kind == 3:
+            X[:, j] = np.nan
+    X[rng.uniform(size=X.shape) < rng.choice([0.0, 0.05, 0.3])] = np.nan
+    y = (rng.uniform(size=n) < rng.choice([0.02, 0.3, 0.5])).astype(float)
+    cfg = GbtConfig(max_depth=int(rng.integers(1, 6)),
+                    learning_rate=float(rng.choice([0.1, 1.0])),
+                    n_trees=int(rng.integers(1, 6)),
+                    subsample=float(rng.choice([0.8, 1.0])),
+                    reg_lambda=float(rng.choice([0.0, 1.0])),
+                    gamma=float(rng.choice([0.0, 0.05])), seed=seed)
+    return X, y, cfg
+
+
+class TestGrowthOracle:
+    @pytest.mark.parametrize("seed", range(48))
+    def test_model_bytes_equal_per_feature_search(self, seed, tmp_path):
+        X, y, cfg = oracle_case(seed)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = reference_fit(X, y, cfg)
+        save_model(want, tmp_path / "want.txt")
+        save_model(fit_gbt(X, y, cfg), tmp_path / "got.txt")
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+
 class TestImportance:
     def test_no_splits_empty_ranking(self):
         X = np.zeros((20, 2))
@@ -189,3 +320,58 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(predict_margin(model, X), predict_margin(loaded, X))
     assert loaded.feature_names == ["p", "q", "r"]
     assert loaded.importance_gain == pytest.approx(model.importance_gain)
+
+
+class TestMalformedModelFile:
+    def saved_lines(self, tmp_path):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((60, 3))
+        y = (X[:, 0] > 0).astype(float)
+        model = fit_gbt(X, y, GbtConfig(max_depth=2, n_trees=2, seed=0))
+        save_model(model, tmp_path / "model.txt")
+        return (tmp_path / "model.txt").read_text().splitlines()
+
+    def load_lines(self, tmp_path, lines):
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return load_model(path)
+
+    def test_truncated_file(self, tmp_path):
+        lines = self.saved_lines(tmp_path)
+        with pytest.raises(ValueError, match=r"bad\.txt: line 3: file ends"):
+            self.load_lines(tmp_path, lines[:2])
+        with pytest.raises(ValueError, match=rf"bad\.txt: line {len(lines)}: file ends"):
+            self.load_lines(tmp_path, lines[:-1])
+
+    def test_feature_index_beyond_n_features(self, tmp_path):
+        lines = self.saved_lines(tmp_path)
+        assert lines[6] == "feature 2 x2"
+        lines[6] = "feature 3 x2"
+        with pytest.raises(ValueError, match=r"bad\.txt: line 7: feature index 3"):
+            self.load_lines(tmp_path, lines)
+
+    def test_node_count_differs_from_node_lines(self, tmp_path):
+        lines = self.saved_lines(tmp_path)
+        count = int(lines[7].split()[2])
+        # tree 0's header is line 8; tree 1's header follows its nodes
+        lines[7] = f"tree 0 {count + 1}"
+        with pytest.raises(ValueError, match=rf"line {9 + count}: expected a 'node' line"):
+            self.load_lines(tmp_path, lines)
+        lines[7] = f"tree 0 {count - 1}"
+        with pytest.raises(ValueError, match=rf"line {8 + count}: expected a 'tree' line"):
+            self.load_lines(tmp_path, lines)
+
+
+class TestInputShape:
+    def test_names_must_match_columns(self):
+        X = np.random.default_rng(9).standard_normal((20, 3))
+        y = (X[:, 0] > 0).astype(float)
+        cfg = GbtConfig(n_trees=1, seed=0)
+        for names in (["a", "b"], ["a", "b", "c", "d"]):
+            with pytest.raises(ValueError, match="feature names"):
+                fit_gbt(X, y, cfg, names=names)
+
+    def test_outcomes_must_match_rows(self):
+        X = np.random.default_rng(9).standard_normal((20, 3))
+        with pytest.raises(ValueError, match="outcomes"):
+            fit_gbt(X, np.zeros(19), GbtConfig(n_trees=1, seed=0))

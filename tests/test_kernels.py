@@ -14,13 +14,14 @@ def problem(seed, n=200, p=8):
     return X, y
 
 
-def brute_split(vals, g, h, g_left_base, h_left_base, reg_lambda, gamma):
-    """First boundary of maximal gain, from explicit sums on each side."""
+def brute_gains(vals, g, h, g_left_base, h_left_base, reg_lambda, gamma):
+    """(gain, threshold) at each boundary of one sorted column without NaNs,
+    from explicit sums on each side."""
     m = len(vals)
     gt = g_left_base + sum(g)
     ht = h_left_base + sum(h)
     parent = gt * gt / (ht + reg_lambda)
-    best_gain, best_thr = -np.inf, np.nan
+    out = []
     for i in range(m - 1):
         if vals[i] == vals[i + 1]:
             continue
@@ -28,47 +29,103 @@ def brute_split(vals, g, h, g_left_base, h_left_base, reg_lambda, gamma):
         hl = h_left_base + sum(h[:i + 1])
         gr = sum(g[i + 1:])
         hr = sum(h[i + 1:])
-        gain = 0.5 * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda)
-                      - parent) - gamma
-        if gain > best_gain:
-            best_gain, best_thr = gain, 0.5 * (vals[i] + vals[i + 1])
-    return best_gain, best_thr
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = 0.5 * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda)
+                          - parent) - gamma
+        out.append((float(gain), 0.5 * (vals[i] + vals[i + 1])))
+    return out
+
+
+def brute_choice(columns, reg_lambda, gamma):
+    """(feature, gain, threshold) over (vals, g, h, g_missing, h_missing)
+    columns: the first boundary of largest gain above 0, with the missing
+    rows' sums as forced-left base; a column with a NaN gain is never
+    chosen."""
+    best = (-1, 0.0, 0.0)
+    for j, (vals, g, h, g_miss, h_miss) in enumerate(columns):
+        gains = brute_gains(vals, g, h, np.sum(g_miss), np.sum(h_miss), reg_lambda, gamma)
+        if any(math.isnan(gain) for gain, _ in gains):
+            continue
+        for gain, thr in gains:
+            if gain > best[1]:
+                best = (j, gain, thr)
+    return best
+
+
+def stack_columns(columns):
+    """Kernel input: each column's live rows, then its missing rows as NaN."""
+    vals = np.column_stack([np.concatenate((c[0], np.full(len(c[3]), np.nan))) for c in columns])
+    g = np.column_stack([np.concatenate((c[1], c[3])) for c in columns])
+    h = np.column_stack([np.concatenate((c[2], c[4])) for c in columns])
+    return vals, g, h
+
+
+def random_column(rng, m, live):
+    # rounding to one decimal makes runs of tied values
+    vals = np.sort(np.round(rng.standard_normal(live), 1))
+    g = rng.standard_normal(m)
+    h = np.abs(rng.standard_normal(m)) * 0.2 + 0.01
+    return vals, g[:live], h[:live], g[live:], h[live:]
+
+
+def assert_choice(got, want):
+    if want[0] < 0:
+        assert got == (-1, 0.0, 0.0)
+    else:
+        assert got[0] == want[0]
+        assert abs(got[1] - want[1]) <= 1e-12
+        assert abs(got[2] - want[2]) <= 1e-12
 
 
 class TestSplitScan:
     def test_matches_brute_force_with_ties_and_forced_left_base(self):
         rng = np.random.default_rng(9)
         for trial in range(40):
-            m = int(rng.integers(2, 80))
-            # rounding to one decimal makes runs of tied values
-            vals = np.sort(np.round(rng.standard_normal(m), 1))
-            g = rng.standard_normal(m)
-            h = np.abs(rng.standard_normal(m)) * 0.2 + 0.01
-            base = (0.0, 0.0) if trial % 4 == 0 else (
-                float(rng.standard_normal()), float(abs(rng.standard_normal())))
+            live = int(rng.integers(2, 80))
+            # one column at a time, most of them with missing rows
+            col = random_column(rng, live + int(rng.choice([0, 1, 3, 20])), live)
             gamma = 0.0 if trial % 2 else 0.05
-            args = (vals, g, h, base[0], base[1], 1.0, gamma)
-            gain, thr = K.split_scan(*args)
-            want_gain, want_thr = brute_split(*args)
-            if want_gain == -np.inf:
-                assert gain == -np.inf and np.isnan(thr)
-                continue
-            assert abs(gain - want_gain) <= 1e-12
-            assert abs(thr - want_thr) <= 1e-12
+            got = K.split_scan(*stack_columns([col]), 1.0, gamma)
+            assert_choice(got, brute_choice([col], 1.0, gamma))
+
+    def test_all_features_in_one_pass(self):
+        rng = np.random.default_rng(10)
+        for trial in range(30):
+            m = int(rng.integers(2, 60))
+            cols = [random_column(rng, m, int(rng.integers(0, m + 1)))
+                    for _ in range(int(rng.integers(1, 8)))]
+            gamma = 0.0 if trial % 2 else 0.05
+            got = K.split_scan(*stack_columns(cols), 1.0, gamma)
+            assert_choice(got, brute_choice(cols, 1.0, gamma))
+
+    def test_feature_with_a_nan_gain_is_never_chosen(self):
+        # with reg_lambda 0, rows of h = 0 on the left give 0/0 at the first
+        # boundary; the feature's other boundaries gain more than feature 1's
+        vals, none = np.array([1.0, 2.0, 3.0, 4.0]), np.array([])
+        nan_col = (vals, np.array([0.0, 0.9, -0.9, -0.9]), np.array([0.0, 0.2, 0.2, 0.2]), none, none)
+        fine_col = (vals, np.array([0.1, 0.1, -0.1, -0.1]), np.full(4, 0.2), none, none)
+        nan_gains = brute_gains(*nan_col[:3], 0.0, 0.0, 0.0, 0.0)
+        assert math.isnan(nan_gains[0][0])
+        assert max(gain for gain, _ in nan_gains[1:]) > \
+            max(gain for gain, _ in brute_gains(*fine_col[:3], 0.0, 0.0, 0.0, 0.0))
+        got = K.split_scan(*stack_columns([nan_col, fine_col]), 0.0, 0.0)
+        assert got[0] == 1
+        assert_choice(got, brute_choice([nan_col, fine_col], 0.0, 0.0))
 
     def test_no_boundary(self):
         vals = np.array([2.0, 2.0, 2.0])
         g = np.array([0.1, -0.2, 0.4])
         h = np.array([0.1, 0.1, 0.1])
-        for base in ((0.0, 0.0), (0.3, 0.2)):
-            gain, thr = K.split_scan(vals, g, h, *base, 1.0, 0.0)
-            assert gain == -np.inf and np.isnan(thr)
-            assert brute_split(vals, g, h, *base, 1.0, 0.0)[0] == -np.inf
+        # constant, constant above a missing row, one value above two
+        cols = [(vals[:k], g[:k], h[:k], g[k:], h[k:]) for k in (3, 2, 1)]
+        assert K.split_scan(*stack_columns(cols), 1.0, 0.0) == (-1, 0.0, 0.0)
+        for vals_k, g_k, h_k, g_miss, h_miss in cols:
+            assert brute_gains(vals_k, g_k, h_k, np.sum(g_miss), np.sum(h_miss), 1.0, 0.0) == []
 
     def test_single_row(self):
-        gain, thr = K.split_scan(np.array([1.0]), np.array([0.5]), np.array([0.2]),
-                                 0.1, 0.1, 1.0, 0.0)
-        assert gain == -np.inf and np.isnan(thr)
+        feat, gain, thr = K.split_scan(np.array([[1.0]]), np.array([[0.5]]),
+                                       np.array([[0.2]]), 1.0, 0.0)
+        assert (feat, gain, thr) == (-1, 0.0, 0.0)
 
 
 def test_lasso_cd_meets_kkt_conditions():
