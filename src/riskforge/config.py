@@ -13,6 +13,7 @@ import zlib
 from dataclasses import dataclass, fields
 
 from .errors import ConfigInvalid
+from .impute import METHODS
 
 
 def stage_seed(root_seed, label):
@@ -102,8 +103,6 @@ def _convert(raw, typ, path):
 # sections holding per-variable data tables rather than fixed keys
 _FREEFORM = ("plausibility", "impute")
 
-IMPUTE_METHODS = ("mean", "median", "mice", "zero", "none")
-
 
 def _parse_plausibility(parser):
     out = []
@@ -131,9 +130,9 @@ def _parse_impute(parser):
         return ()
     for var in parser["impute"]:
         method = parser.get("impute", var).strip()
-        if method not in IMPUTE_METHODS:
+        if method not in METHODS:
             raise ConfigInvalid(f"impute.{var}",
-                                f"unknown method {method!r}; use one of {IMPUTE_METHODS}")
+                                f"unknown method {method!r}; use one of {METHODS}")
         out.append((var, method))
     return tuple(out)
 
@@ -197,19 +196,3 @@ def echo_config(cfg):
         suffix = "  ; default" if f"{section}.{key}" in cfg.defaulted else ""
         out.write(f"{key} = {v}{suffix}\n")
     return out.getvalue()
-
-
-def write_default_config(path, overrides=None):
-    cfg = RunConfig()
-    text = echo_config(cfg).replace("  ; default", "")
-    if overrides:
-        parser = configparser.ConfigParser()
-        parser.read_string(text)
-        for dotted, value in overrides.items():
-            section, key = dotted.split(".", 1)
-            parser.set(section, key, str(value))
-        out = io.StringIO()
-        parser.write(out)
-        text = out.getvalue()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

@@ -241,7 +241,7 @@ def load_model(path):
             fail(i, f"feature index {idx} outside 0..{n_feat - 1}")
         names[idx] = name
         i += 1
-    trees = []
+    trees, first_lines = [], []
     while i < len(lines):
         _, count = parse(i, "tree", int, int)
         nodes = []
@@ -251,6 +251,13 @@ def load_model(path):
             if nodes[-1].feature >= n_feat:
                 fail(j, f"feature index {nodes[-1].feature} outside 0..{n_feat - 1}")
         trees.append(nodes)
+        first_lines.append(i + 1)
         i += 1 + count
+    # trees are saved in preorder, so a split's children follow it in its tree
+    for nodes, first in zip(trees, first_lines):
+        for k, nd in enumerate(nodes):
+            if nd.feature >= 0 and not (k < nd.left < len(nodes) and k < nd.right < len(nodes)):
+                fail(first + k, f"children {nd.left}, {nd.right} of node {k} not within "
+                                f"{k + 1}..{len(nodes) - 1}")
     return GbtModel(trees, base, names, _gain_by_feature(trees, names),
                     GbtConfig(learning_rate=lr))

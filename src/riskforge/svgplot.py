@@ -2,11 +2,12 @@
 
 No display or plotting dependency: charts are written as plain SVG text
 with fixed formatting, so identical inputs produce byte-identical files
-(required for reproducible run directories).
+(required for reproducible run directories). ``line_chart`` writes its
+file in place; a caller that needs the write to be atomic writes to a
+temporary path and renames it.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 PALETTE = ("#1f6fb4", "#d1495b", "#2e8b57", "#e0a100", "#6f42c1",
@@ -147,7 +148,5 @@ def line_chart(path, series, *, title="", xlabel="", ylabel="",
                      f'font-size="11">{s.name}</text>')
     parts.append("</svg>")
 
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
-    os.replace(tmp, path)

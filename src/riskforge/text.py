@@ -225,18 +225,20 @@ TEXT_BLOCKS = (
     ("radiology_bert_pca", "embedding", "radiology"),
 )
 
+# whole-number column flagging an admission with a note, per modality
+INDICATORS = {"discharge": "has_discharge_note", "radiology": "has_radiology_note"}
+
 
 def apply_text_block(cohort, blocks):
     """Append reduced text features to the cohort, zero-filling absent notes.
 
     ``blocks`` maps a column prefix to (hadm_id -> reduced vector, dim).
     Missing-note zero vectors live in the reduced space, so they project to
-    exactly zero regardless of centering. Adds has_discharge_note /
-    has_radiology_note indicators.
+    exactly zero regardless of centering. Adds the ``INDICATORS`` columns.
     """
     hadm, hmask = cohort.column("hadm_id")
     spec = [("hadm_id", cohort.kind("hadm_id"), hadm, hmask)]
-    presence = {"discharge": np.zeros(len(hadm)), "radiology": np.zeros(len(hadm))}
+    presence = {modality: np.zeros(len(hadm)) for modality in INDICATORS}
     for prefix, _, modality in TEXT_BLOCKS:
         if prefix not in blocks:
             continue
@@ -247,8 +249,7 @@ def apply_text_block(cohort, blocks):
             mat[row >= 0] = np.array(list(vectors.values()), dtype=float)[row[row >= 0]]
         presence[modality][row >= 0] = 1.0
         spec += [(f"{prefix}_{j + 1}", "num", mat[:, j]) for j in range(dim)]
-    spec.append(("has_discharge_note", "int", presence["discharge"]))
-    spec.append(("has_radiology_note", "int", presence["radiology"]))
+    spec += [(name, "int", presence[modality]) for modality, name in INDICATORS.items()]
     return PatientFrame.from_columns(spec)
 
 

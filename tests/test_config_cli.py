@@ -7,6 +7,7 @@ import pytest
 from riskforge.cli import main
 from riskforge.config import echo_config, stage_seed, validate_config
 from riskforge.errors import ConfigInvalid
+from riskforge.pipeline import STAGES, run_all
 
 
 MINIMAL = """\
@@ -168,6 +169,31 @@ class TestCli:
         assert main(["synth", "--config", str(cfg), "--out", str(target)]) == 0
         assert (target / "ground_truth.csv").exists()
         assert (target / "chartevents.csv").exists()
+
+
+class TestStageByStage:
+    def test_cli_stages_write_the_bytes_of_run_all(self, tmp_path):
+        cfg = write_cfg(tmp_path, (
+            "[paths]\n"
+            f"data_dir = {tmp_path}/data\n"
+            f"out_dir = {tmp_path}/all\n"
+            "[split]\nseed = 5\ntrain_fraction = 0.7\n"
+            "[synth]\nn_patients = 240\nemb_dim = 8\ntext_signal = 1.5\n"
+            "[mice]\nm = 2\n[lasso]\nfolds = 3\ngrid_size = 6\n"
+            "[gbt]\nn_trees = 8\n[text]\nvocab_size = 60\n"
+        ))
+        assert main(["synth", "--config", str(cfg)]) == 0
+        for stage in STAGES[1:]:
+            assert main([stage, "--config", str(cfg), "--out", str(tmp_path / "cli")]) == 0
+        run_all(validate_config(cfg), STAGES[1:])
+
+        def tree_bytes(root):
+            return {name: (root / name).read_bytes() for name in os.listdir(root)}
+
+        by_cli, by_run_all = tree_bytes(tmp_path / "cli"), tree_bytes(tmp_path / "all")
+        assert "report_metrics.csv" in by_cli and "gbt_model_multimodal.txt" in by_cli
+        assert sorted(by_cli) == sorted(by_run_all)
+        assert [n for n in by_cli if by_cli[n] != by_run_all[n]] == []
 
 
 class TestMalformedInputs:

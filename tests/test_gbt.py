@@ -361,6 +361,31 @@ class TestMalformedModelFile:
         with pytest.raises(ValueError, match=rf"line {8 + count}: expected a 'tree' line"):
             self.load_lines(tmp_path, lines)
 
+    def one_split_lines(self, tmp_path):
+        X = np.arange(20, dtype=float)[:, None]
+        y = (X[:, 0] >= 10).astype(float)
+        model = fit_gbt(X, y, GbtConfig(max_depth=1, n_trees=1, subsample=1.0, seed=0))
+        save_model(model, tmp_path / "model.txt")
+        lines = (tmp_path / "model.txt").read_text().splitlines()
+        assert lines[5] == "tree 0 3" and lines[6].split()[4:6] == ["1", "2"]
+        return lines
+
+    def with_root_left(self, lines, left):
+        fields = lines[6].split(" ")
+        fields[4] = str(left)
+        return lines[:6] + [" ".join(fields)] + lines[7:]
+
+    def test_split_child_not_after_its_node(self, tmp_path):
+        # a root that is its own child would send predict_margin round forever
+        lines = self.one_split_lines(tmp_path)
+        with pytest.raises(ValueError, match=r"bad\.txt: line 7: children 0, 2 of node 0"):
+            self.load_lines(tmp_path, self.with_root_left(lines, 0))
+
+    def test_split_child_outside_its_tree(self, tmp_path):
+        lines = self.one_split_lines(tmp_path)
+        with pytest.raises(ValueError, match=r"bad\.txt: line 7: children 9, 2 of node 0"):
+            self.load_lines(tmp_path, self.with_root_left(lines, 9))
+
 
 class TestInputShape:
     def test_names_must_match_columns(self):
