@@ -6,16 +6,13 @@ import numpy as np
 
 from .errors import MissingColumn
 
-TAGS = ("structured", "tfidf", "embedding", "indicator")
-
 
 @dataclass
 class FeatureMatrix:
-    """Numeric design matrix with names and per-column provenance tags."""
+    """Numeric design matrix with column names."""
 
     X: np.ndarray
     names: list
-    tags: list
     mean: np.ndarray = None
     scale: np.ndarray = None
 
@@ -23,8 +20,8 @@ class FeatureMatrix:
         self.X = np.asarray(self.X, dtype=float)
         if self.X.ndim != 2:
             raise ValueError("X must be 2-D")
-        if len(self.names) != self.X.shape[1] or len(self.tags) != self.X.shape[1]:
-            raise ValueError("names/tags out of step with X")
+        if len(self.names) != self.X.shape[1]:
+            raise ValueError("names out of step with X")
 
     @property
     def n(self):
@@ -49,26 +46,23 @@ class FeatureMatrix:
         return FeatureMatrix(
             self.X[:, idx],
             [self.names[i] for i in idx],
-            [self.tags[i] for i in idx],
             None if self.mean is None else self.mean[idx],
             None if self.scale is None else self.scale[idx],
         )
 
     def rows(self, idx):
-        return FeatureMatrix(self.X[np.asarray(idx)], list(self.names), list(self.tags),
-                             self.mean, self.scale)
+        return FeatureMatrix(self.X[np.asarray(idx)], list(self.names), self.mean, self.scale)
 
 
-def from_frame(frame, columns, tags=None):
+def from_frame(frame, columns):
     """Build a FeatureMatrix from numeric frame columns (masked -> NaN)."""
-    tags = ["structured"] * len(columns) if tags is None else list(tags)
-    return FeatureMatrix(frame.matrix(columns), list(columns), tags)
+    return FeatureMatrix(frame.matrix(columns), list(columns))
 
 
 def hstack(a, b):
     if a.n != b.n:
         raise ValueError("row counts differ")
-    return FeatureMatrix(np.hstack([a.X, b.X]), a.names + b.names, a.tags + b.tags)
+    return FeatureMatrix(np.hstack([a.X, b.X]), a.names + b.names)
 
 
 def standardize(fm, train_idx=None):
@@ -82,11 +76,11 @@ def standardize(fm, train_idx=None):
     mean = sub.mean(axis=0) if sub.size else np.zeros(fm.p)
     scale = sub.std(axis=0, ddof=0) if sub.size else np.ones(fm.p)
     scale = np.where(scale < 1e-12, 1.0, scale)
-    return FeatureMatrix((fm.X - mean) / scale, list(fm.names), list(fm.tags), mean, scale)
+    return FeatureMatrix((fm.X - mean) / scale, list(fm.names), mean, scale)
 
 
 def apply_standardization(fm, mean, scale):
-    return FeatureMatrix((fm.X - mean) / scale, list(fm.names), list(fm.tags), mean, scale)
+    return FeatureMatrix((fm.X - mean) / scale, list(fm.names), mean, scale)
 
 
 def stratified_split(y, train_fraction, seed):

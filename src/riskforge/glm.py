@@ -190,7 +190,7 @@ def univariate_screen(fm, y, alpha=0.05):
 
 @dataclass
 class VifReport:
-    vifs: dict
+    vifs: dict  # every input column: final VIF if kept, VIF at the drop if dropped
     drop_sequence: list  # (dropped, kept_instead, reason, vif_at_drop)
     kept: list
     warned: list
@@ -226,6 +226,7 @@ def vif(fm, *, warn_threshold=5.0, drop_threshold=10.0,
     names = list(fm.names)
     X = fm.X.copy()
     drops = []
+    at_drop = {}
     while True:
         if len(names) < 2:
             vals = {n: 1.0 for n in names}
@@ -249,13 +250,15 @@ def vif(fm, *, warn_threshold=5.0, drop_threshold=10.0,
                 j = int(np.argmax(np.where(np.isfinite(v), v, np.inf)))
                 drop_name, reason = names[j], "max VIF"
         drops.append((drop_name, kept_instead, reason, float(vals[drop_name])))
+        at_drop[drop_name] = vals[drop_name]
         j = names.index(drop_name)
         names.pop(j)
         X = np.delete(X, j, axis=1)
     warned = [n for n in names if vals[n] > warn_threshold]
     if warned:
         warnings.warn(f"VIF above {warn_threshold} for: {', '.join(warned)}")
-    return VifReport(vals, drops, names, warned)
+    vals.update(at_drop)
+    return VifReport({n: vals[n] for n in fm.names}, drops, names, warned)
 
 
 def consolidate_features(lasso_set, gbt_set):

@@ -2,9 +2,9 @@
 
 Every fit is solved by one routine, accelerated proximal gradient
 (``_kernels.fista``), which gives exact zeros through soft-thresholding
-and leaves the intercept unpenalized. Single fits (``fit_lasso``,
-``lasso_path`` and the refit behind ``selected_features``) solve one
-problem on all rows; cross-validation solves all folds of a penalty at
+and leaves the intercept unpenalized. Single fits (``fit_lasso`` and the
+refit behind ``selected_features``) solve one problem on all rows;
+cross-validation solves all folds of a penalty at
 once (``fold_path``) and reports the held-out binomial deviance curve over
 a log-spaced penalty grid with the minimum, 1-SE, and 75th-percentile
 selection rules.
@@ -21,14 +21,6 @@ from .errors import DegenerateFold, NonConvergence
 MAX_ITER = 100_000
 CV_MAX_ITER = 1000
 CV_COEF_CAP = 30.0
-
-
-@dataclass
-class LassoPath:
-    lambda_grid: np.ndarray
-    intercepts: np.ndarray
-    coef_path: np.ndarray  # len(grid) x p
-    nonzero_counts: np.ndarray
 
 
 @dataclass
@@ -56,25 +48,21 @@ def lambda_max(X, y):
     return float(np.max(np.abs(X.T @ (y - y.mean()))) / n) * (1.0 + 1e-9)
 
 
-def fit_lasso(X, y, lam, *, beta0=None, beta=None):
+def fit_lasso(X, y, lam):
     """Solve one penalty level; returns (intercept, coefficients).
 
-    Minimizes (1/n)*sum logistic loss + lam*sum|beta_j|. Warm starts are
-    taken from ``beta0``/``beta`` when given. Convergence is declared when
-    the largest coefficient change in an iteration falls below
-    ``_kernels.TOL``; a solve still running at ``MAX_ITER`` iterations
-    raises NonConvergence (tiny penalties can make the optimum diverge
-    under separation).
+    Minimizes (1/n)*sum logistic loss + lam*sum|beta_j|, starting from zero
+    coefficients and the log-odds of the mean outcome as the intercept.
+    Convergence is declared when the largest coefficient change in an
+    iteration falls below ``_kernels.TOL``; a solve still running at
+    ``MAX_ITER`` iterations raises NonConvergence (tiny penalties can make
+    the optimum diverge under separation).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if beta is None:
-        beta = np.zeros(X.shape[1])
-    else:
-        beta = np.asarray(beta, dtype=float).copy()
-    if beta0 is None:
-        ybar = min(max(y.mean(), 1e-12), 1 - 1e-12)
-        beta0 = math.log(ybar / (1.0 - ybar))
+    beta = np.zeros(X.shape[1])
+    ybar = min(max(y.mean(), 1e-12), 1 - 1e-12)
+    beta0 = math.log(ybar / (1.0 - ybar))
     b0, iters, converged = _kernels.lasso_cd(X, y, float(lam), float(beta0), beta, MAX_ITER)
     if not converged:
         raise NonConvergence(f"proximal gradient hit {iters} iterations at lambda={lam}")
@@ -83,21 +71,6 @@ def fit_lasso(X, y, lam, *, beta0=None, beta=None):
 
 def default_grid(lmax, size=100, ratio=1e-4):
     return np.exp(np.linspace(math.log(lmax), math.log(lmax * ratio), size))
-
-
-def lasso_path(X, y, grid):
-    """Warm-started fits down a descending penalty grid."""
-    grid = np.asarray(grid, dtype=float)
-    p = X.shape[1]
-    intercepts = np.empty(len(grid))
-    coefs = np.empty((len(grid), p))
-    b0, b = None, None
-    for i, lam in enumerate(grid):
-        b0, b = fit_lasso(X, y, lam, beta0=b0, beta=b)
-        intercepts[i] = b0
-        coefs[i] = b
-    nz = (coefs != 0.0).sum(axis=1)
-    return LassoPath(grid, intercepts, coefs, nz)
 
 
 def fold_assignments(y, n_folds, seed, keys=None):

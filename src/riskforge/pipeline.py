@@ -27,7 +27,7 @@ from .frame import JoinSpec, PatientFrame, join, read_csv, read_header, write_cs
 from .harmonize import (DEFAULT_PLAUSIBILITY, FLAG_NAMES, PlausibilityRule,
                         build_structured_features, fahrenheit_to_celsius, window_24h)
 from .impute import MiceConfig, default_policies, impute_single, mice_impute, missingness_report
-from .scoring import (calibration, decision_curve, default_dca_grid,
+from .scoring import (NEWS2_RANGES, calibration, decision_curve, default_dca_grid,
                       news2_scores, roc, threshold_metrics)
 from .synth import SynthConfig, generate
 
@@ -264,16 +264,6 @@ def run_text(cfg):
 # --- matrix assembly shared by select/fit/evaluate ---
 
 
-def _tag_of(name):
-    if name.startswith(("disch_tfidf_svd", "radio_tfidf_svd")):
-        return "tfidf"
-    if name.startswith(("discharge_bert_pca", "radiology_bert_pca")):
-        return "embedding"
-    if name.startswith("has_"):
-        return "indicator"
-    return "structured"
-
-
 def _load_matrices(cfg, stage):
     """Returns (y, keys, structured fm per imputation, text fm, train rows,
     the "train"/"val" label of every row)."""
@@ -288,7 +278,7 @@ def _load_matrices(cfg, stage):
     tf = _load(cfg, "text_features.csv", stage)
     aligned = join(base.select(["hadm_id"]), tf, JoinSpec(("hadm_id",), "left"))
     text_names = [n for n in aligned.names if n != "hadm_id"]
-    text_fm = design.from_frame(aligned, text_names, [_tag_of(n) for n in text_names])
+    text_fm = design.from_frame(aligned, text_names)
 
     train_idx, val_idx = design.stratified_split(y, cfg.train_fraction,
                                                  stage_seed(cfg.seed, "split"))
@@ -460,14 +450,12 @@ def _cap_inf(v):
 
 
 def _news2_frame_scores(frame):
-    """Vectorized NEWS2 over an imputed feature frame (inputs clamped sane)."""
-    rr = np.clip(frame.values("rr_mean"), 1.0, 100.0)
-    spo2 = np.clip(frame.values("spo2_mean"), 1.0, 100.0)
-    sbp = np.clip(frame.values("sbp_mean"), 10.0, 400.0)
-    hr = np.clip(frame.values("hr_mean"), 10.0, 400.0)
-    bt = np.clip(fahrenheit_to_celsius(frame.values("bt_mean")), 20.0, 45.0)
-    gcs = np.clip(frame.values("gcs_total"), 3.0, 15.0)
-    return news2_scores(rr, spo2, sbp, hr, bt, gcs).astype(float)
+    """NEWS2 over an imputed feature frame, inputs clamped to NEWS2_RANGES."""
+    inputs = (frame.values("rr_mean"), frame.values("spo2_mean"), frame.values("sbp_mean"),
+              frame.values("hr_mean"), fahrenheit_to_celsius(frame.values("bt_mean")),
+              frame.values("gcs_total"))
+    return news2_scores(*(np.clip(v, *NEWS2_RANGES[p])
+                          for p, v in zip(NEWS2_RANGES, inputs))).astype(float)
 
 
 def run_evaluate(cfg):

@@ -33,7 +33,9 @@ NEWS2_BANDS = {
     "bt": ((35.0, 3), (36.0, 1), (38.0, 0), (39.0, 1), (None, 2)),
 }
 
-_SANITY = {
+# accepted input range per parameter; a value outside it (or not finite)
+# raises OutOfRange
+NEWS2_RANGES = {
     "rr": (1.0, 100.0),
     "spo2": (1.0, 100.0),
     "sbp": (10.0, 400.0),
@@ -61,7 +63,7 @@ def news2_score(inp):
         "hr": inp.hr, "bt": inp.bt, "gcs_total": inp.gcs_total,
     }
     for param, v in values.items():
-        lo, hi = _SANITY[param]
+        lo, hi = NEWS2_RANGES[param]
         if not (lo <= v <= hi) or not np.isfinite(v):
             raise OutOfRange(f"{param}={v} outside [{lo}, {hi}]")
     total = sum(_band_points(p, values[p]) for p in NEWS2_BANDS)
@@ -70,12 +72,27 @@ def news2_score(inp):
 
 
 def news2_scores(rr, spo2, sbp, hr, bt, gcs_total):
-    """Vectorized scoring over aligned arrays."""
-    cols = [np.asarray(a, dtype=float) for a in (rr, spo2, sbp, hr, bt, gcs_total)]
-    out = np.empty(len(cols[0]), dtype=int)
-    for i in range(len(cols[0])):
-        out[i] = news2_score(News2Input(*(c[i] for c in cols)))
-    return out
+    """``news2_score`` over aligned arrays, one whole column at a time.
+
+    Each parameter's points come from one ``searchsorted`` over its band
+    uppers. The first row holding an out-of-range value raises OutOfRange
+    for its first such parameter, as the row-by-row score would.
+    """
+    cols = dict(zip(NEWS2_RANGES, (np.asarray(a, dtype=float)
+                                   for a in (rr, spo2, sbp, hr, bt, gcs_total))))
+    bad = np.array([~((v >= NEWS2_RANGES[p][0]) & (v <= NEWS2_RANGES[p][1]))
+                    for p, v in cols.items()])
+    if bad.any():
+        row = int(np.flatnonzero(bad.any(axis=0))[0])
+        param = list(cols)[int(np.argmax(bad[:, row]))]
+        lo, hi = NEWS2_RANGES[param]
+        raise OutOfRange(f"{param}={cols[param][row]} outside [{lo}, {hi}]")
+    total = np.where(cols["gcs_total"] >= 15.0, 0, 3)
+    for param, bands in NEWS2_BANDS.items():
+        uppers = np.array([upper for upper, _ in bands[:-1]], dtype=float)
+        points = np.array([pts for _, pts in bands])
+        total += points[np.searchsorted(uppers, cols[param], side="left")]
+    return total
 
 
 @dataclass

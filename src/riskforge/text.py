@@ -4,8 +4,11 @@ Per-admission note selection, tokenization against an embedded stopword
 list (clinical negators deliberately retained), capped-vocabulary TF-IDF,
 and variance-targeted dimensionality reduction: truncated SVD for the
 sparse term weights (no centering), PCA for dense note embeddings
-(column-mean centering). Admissions without a note get exact zero vectors
-in the reduced space plus a presence indicator column.
+(column-mean centering). Both are cut from one exact dense thin SVD: the
+variance targets keep a large share of each block's columns (vocabulary
+size or embedding width), where an iterative truncated solver saves
+nothing. Admissions without a note get exact zero vectors in the reduced
+space plus a presence indicator column.
 """
 
 from dataclasses import dataclass
@@ -148,44 +151,13 @@ class ReducedBasis:
         return X @ self.components.T
 
 
-def _subspace_svd(M, k, tol, max_iter):
-    """Randomized subspace iteration; converges the top-k singular values.
-
-    The working subspace is oversampled past k so clustered singular values
-    near the cut do not stall convergence; the tolerance is checked on the
-    k values actually returned.
-    """
-    n, d = M.shape
-    max_rank = min(n, d)
-    k = min(k, max_rank)
-    ks = min(k + max(10, k // 2), max_rank)
-    rng = np.random.default_rng(0)
-    Q, _ = np.linalg.qr(M @ rng.standard_normal((d, ks)))
-    prev = None
-    for _ in range(max_iter):
-        Q, _ = np.linalg.qr(M.T @ Q)
-        Q, _ = np.linalg.qr(M @ Q)
-        B = Q.T @ M
-        s = np.linalg.svd(B, compute_uv=False)[:k]
-        if prev is not None and prev.shape == s.shape:
-            # values at float-dust level (exactly low-rank inputs) count as
-            # settled; their variance share is ~1e-14 so the floor cannot
-            # move a retained-count decision
-            floor = max(float(s[0]) * 1e-7, 1e-300)
-            denom = np.maximum(prev, floor)
-            if float(np.max(np.abs(s - prev) / denom)) < tol:
-                _, s_fin, Vt = np.linalg.svd(B, full_matrices=False)
-                return s_fin[:k], Vt[:k]
-        prev = s
-    raise ConvergenceFailure(f"subspace iteration did not settle in {max_iter} rounds")
-
-
-def fit_reduced_basis(matrix, kind, target_variance, *, tol=1e-8, max_iter=300):
+def fit_reduced_basis(matrix, kind, target_variance):
     """Smallest orthonormal basis explaining >= target_variance.
 
     ``svd`` factors the raw matrix; ``pca`` removes column means first.
-    Retained count is the smallest k whose cumulative explained variance
-    reaches the target.
+    One dense thin SVD gives every singular value exactly; the retained
+    count is the smallest k whose cumulative explained variance reaches
+    the target. Component signs are LAPACK's.
     """
     if not 0.0 < target_variance <= 1.0:
         raise ValueError("target_variance must be in (0, 1]")
@@ -202,20 +174,15 @@ def fit_reduced_basis(matrix, kind, target_variance, *, tol=1e-8, max_iter=300):
     total = float(np.sum(M * M))
     if total <= 0.0:
         raise ConvergenceFailure("matrix has no variance to explain")
-    max_rank = min(M.shape)
-    k = min(8, max_rank)
-    while True:
-        s, Vt = _subspace_svd(M, k, tol, max_iter)
-        ratios = (s * s) / total
-        cum = np.cumsum(ratios)
-        hit = np.flatnonzero(cum >= target_variance - 1e-9)
-        if hit.size:
-            r = int(hit[0] + 1)
-            return ReducedBasis(kind, Vt[:r].copy(), ratios[:r].copy(), center, r)
-        if k >= max_rank:
-            # numerical dust kept the cumulative sum under target; keep all
-            return ReducedBasis(kind, Vt.copy(), ratios.copy(), center, int(k))
-        k = min(2 * k, max_rank)
+    try:
+        _, s, Vt = np.linalg.svd(M, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD did not converge: {exc}") from None
+    ratios = (s * s) / total
+    # the ratios of a full thin SVD sum to 1 within rounding, so this
+    # tolerance always leaves a hit
+    r = int(np.flatnonzero(np.cumsum(ratios) >= target_variance - 1e-9)[0] + 1)
+    return ReducedBasis(kind, Vt[:r].copy(), ratios[:r].copy(), center, r)
 
 
 TEXT_BLOCKS = (

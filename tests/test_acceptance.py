@@ -120,7 +120,7 @@ def test_c04_pooled_coefficient_recovery():
             fits = []
             for comp in completed:
                 X = np.column_stack([comp.values(n) for n in names])
-                fm = standardize(FeatureMatrix(X, names, ["structured"] * len(names)))
+                fm = standardize(FeatureMatrix(X, names))
                 fits.append(fit_logistic(fm.X, sim.y, names=names,
                                          raise_on_separation=False))
             pooled = rubin_pool(fits)
@@ -142,7 +142,7 @@ def test_c05_vif_preference_ledger():
         age = rng.standard_normal(n)
         X = np.column_stack([pt, pt.copy(), hgb, hgb.copy(), mbp, mbp.copy(), age])
         names = ["pt", "inr", "hemoglobin", "hematocrit", "mbp", "dbp", "age"]
-        fm = FeatureMatrix(X, names, ["structured"] * 7)
+        fm = FeatureMatrix(X, names)
 
         from riskforge.glm import _vif_values
         initial = _vif_values(X)

@@ -12,7 +12,7 @@ from riskforge.glm import (consolidate_features, fit_logistic, null_loglik,
 def make_fm(X, names=None):
     X = np.asarray(X, dtype=float)
     names = names or [f"x{j}" for j in range(X.shape[1])]
-    return FeatureMatrix(X, names, ["structured"] * X.shape[1])
+    return FeatureMatrix(X, names)
 
 
 def draw_logistic(rng, n, beta, intercept=0.0):
@@ -145,6 +145,20 @@ class TestVif:
         X = np.column_stack([base, base[:, 0] + 0.01 * rng.standard_normal(300)])
         rep = vif(make_fm(X))
         assert all(rep.vifs[n] <= 10.0 for n in rep.kept)
+
+    def test_dropped_column_stays_in_table_with_vif_at_drop(self):
+        rng = np.random.default_rng(14)
+        a, c = rng.standard_normal((2, 200))
+        b = a + 1e-3 * rng.standard_normal(200)
+        rep = vif(make_fm(np.column_stack([a, b, c]), ["a", "b", "c"]))
+        (dropped, _, _, at_drop), = rep.drop_sequence
+        assert list(rep.vifs) == ["a", "b", "c"]
+        assert rep.vifs[dropped] == at_drop > 10.0
+        assert sorted(rep.kept) == sorted({"a", "b", "c"} - {dropped})
+        assert all(rep.vifs[n] < 10.0 for n in rep.kept)
+        # the vif_*.csv rows: (variable, dropped) for every input column
+        assert [(n, n not in rep.kept) for n in rep.vifs] == \
+            [(n, n == dropped) for n in ("a", "b", "c")]
 
 
 class TestConsolidate:

@@ -8,7 +8,7 @@ from riskforge.errors import DegenerateFold, NonConvergence
 from riskforge.glm import fit_logistic, sigmoid
 from riskforge.lasso import (CvCurve, binomial_deviance, cv_deviance,
                              default_grid, fit_lasso, fold_assignments,
-                             fold_path, lambda_max, lasso_path, select_lambda,
+                             fold_path, lambda_max, select_lambda,
                              selected_features)
 
 
@@ -241,29 +241,6 @@ class TestSelectedFeatures:
         sel = selected_features(X, y, curve.lambda_selected, names)
         recall = len(set(sel) & {f"v{j}" for j in range(p_signal)}) / p_signal
         assert recall >= 0.8
-
-
-class TestPath:
-    def test_nonzero_counts_zero_at_top_and_grow(self):
-        rng = np.random.default_rng(12)
-        X, y = draw(rng, 250, [1.0, -0.7, 0.5, 0.0])
-        lmax = lambda_max(X, y)
-        grid = default_grid(lmax, 12, ratio=0.05)
-        path = lasso_path(X, y, grid)
-        assert path.nonzero_counts[0] == 0
-        assert path.nonzero_counts[-1] >= path.nonzero_counts[0]
-        assert np.all(np.diff(path.lambda_grid) < 0)
-
-    def test_warm_started_rows_match_cold_fits(self):
-        rng = np.random.default_rng(13)
-        X, y = draw(rng, 300, [1.0, -0.7, 0.5, 0.0, 0.0, 0.3])
-        grid = default_grid(lambda_max(X, y), 10, ratio=0.01)
-        path = lasso_path(X, y, grid)
-        for i, lam in enumerate(grid):
-            b0, b = fit_lasso(X, y, lam)
-            assert abs(path.intercepts[i] - b0) <= 1e-6
-            assert np.max(np.abs(path.coef_path[i] - b)) <= 1e-6
-            assert np.array_equal(path.coef_path[i] == 0.0, b == 0.0)
 
 
 def test_binomial_deviance_of_certain_prediction():

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riskforge.errors import OutOfRange, SingleClass, TooFewRows
-from riskforge.scoring import (CalibrationBins, News2Input, calibration,
-                               decision_curve, default_dca_grid, news2_score,
-                               roc, threshold_metrics)
+from riskforge.scoring import (NEWS2_BANDS, NEWS2_RANGES, CalibrationBins, News2Input,
+                               calibration, decision_curve, default_dca_grid,
+                               news2_score, news2_scores, roc, threshold_metrics)
 
 
 def mann_whitney_auc(scores, y):
@@ -41,6 +41,46 @@ class TestNews2:
     def test_score_range_bounded(self, rr, spo2, sbp, hr, bt, gcs):
         s = news2_score(News2Input(rr, spo2, sbp, hr, bt, gcs))
         assert 0 <= s <= 18
+
+
+class TestNews2Columns:
+    PARAMS = ("rr", "spo2", "sbp", "hr", "bt", "gcs_total")
+
+    def edge_values(self, param):
+        """Every band upper, its neighbours and the range ends, inside the range."""
+        lo, hi = NEWS2_RANGES[param]
+        # the coma scale scores 0 at 15 and 3 below it
+        uppers = [u for u, _ in NEWS2_BANDS[param][:-1]] if param in NEWS2_BANDS else [15.0]
+        edges = [lo, hi] + [u + d for u in uppers for d in (-1e-9, 0.0, 1e-9, 1.0)]
+        return np.array([v for v in edges if lo <= v <= hi])
+
+    def test_random_columns_with_band_edges_match_row_scores(self):
+        rng = np.random.default_rng(90)
+        n = 600
+        cols = []
+        for param in self.PARAMS:
+            lo, hi = NEWS2_RANGES[param]
+            col = rng.uniform(lo, hi, n)
+            edges = self.edge_values(param)
+            col[:len(edges)] = edges  # every edge appears at least once
+            cols.append(col[rng.permutation(n)])
+        rows = np.array([news2_score(News2Input(*(c[i] for c in cols))) for i in range(n)])
+        got = news2_scores(*cols)
+        assert got.dtype.kind == "i"
+        assert np.array_equal(got, rows)
+
+    def test_out_of_range_or_non_finite_rejected(self):
+        good = [np.full(3, v) for v in (16.0, 98.0, 120.0, 70.0, 36.8, 15.0)]
+        for j, param in enumerate(self.PARAMS):
+            lo, hi = NEWS2_RANGES[param]
+            for bad in (lo - 1e-9, hi + 1e-9, np.nan, np.inf):
+                cols = [c.copy() for c in good]
+                cols[j][1] = bad
+                with pytest.raises(OutOfRange, match=param):
+                    news2_scores(*cols)
+
+    def test_empty_columns_score_nothing(self):
+        assert news2_scores(*([np.array([])] * 6)).size == 0
 
 
 class TestRoc:

@@ -28,7 +28,7 @@ class TestSimulate:
         frame = features_frame(sim)
         names = sorted(DEFAULT_TRUE_BETA)
         X = np.column_stack([frame.values(n) for n in names])
-        fm = standardize(FeatureMatrix(X, names, ["structured"] * len(names)))
+        fm = standardize(FeatureMatrix(X, names))
         fit = fit_logistic(fm.X, sim.y, raise_on_separation=False)
         fitted_auc = roc(fit.predict(fm.X), sim.y).auc
         assert sim.truth["bayes_auc"] >= fitted_auc - 0.01
@@ -51,7 +51,7 @@ class TestSimulate:
         frame = features_frame(sim)
         strong = {k: v for k, v in DEFAULT_TRUE_BETA.items() if abs(v) >= 0.3}
         X = np.column_stack([frame.values(n) for n in sorted(strong)])
-        fm = standardize(FeatureMatrix(X, sorted(strong), ["structured"] * len(strong)))
+        fm = standardize(FeatureMatrix(X, sorted(strong)))
         rows = univariate_screen(fm, sim.y)
         for row in rows:
             assert np.sign(row.coef) == np.sign(strong[row.name]), row.name

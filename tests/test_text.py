@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riskforge.errors import EmptyCorpus
+from riskforge.errors import ConvergenceFailure, EmptyCorpus
 from riskforge.text import (STOPWORDS, CoverageReport, apply_text_block,
                             corpus_matrix, fit_reduced_basis, fit_tfidf,
                             normalize_text, select_notes, transform_tfidf)
@@ -178,6 +178,45 @@ class TestReducedBasis:
         basis = fit_reduced_basis(M, "svd", 0.8)
         proj = basis.transform(M)
         assert np.all(proj[-3:] == 0.0)
+
+    def test_exact_when_target_needs_most_components(self):
+        # a flat spectrum: 0.78 of the variance needs 60 of 104 components,
+        # where a truncated iterative solver would stop short of exact
+        rng = np.random.default_rng(0)
+        d = 104
+        M = rng.standard_normal((400, d))
+        for kind in ("svd", "pca"):
+            basis = fit_reduced_basis(M, kind, 0.78)
+            Mc = M - M.mean(0) if kind == "pca" else M
+            _, s, Vt = np.linalg.svd(Mc, full_matrices=False)
+            ratios = s ** 2 / (s ** 2).sum()
+            r = basis.retained
+            assert r > 8 and r > d // 2
+            assert r == int(np.searchsorted(np.cumsum(ratios), 0.78 - 1e-12) + 1)
+            signs = np.sign(np.sum(basis.components * Vt[:r], axis=1))
+            assert np.max(np.abs(basis.components * signs[:, None] - Vt[:r])) <= 1e-10
+            assert np.max(np.abs(basis.explained_ratio - ratios[:r])) <= 1e-12
+
+    def test_no_variance_or_failed_svd_is_convergence_failure(self, monkeypatch):
+        with pytest.raises(ConvergenceFailure):
+            fit_reduced_basis(np.ones((4, 3)), "pca", 0.9)
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(ConvergenceFailure):
+            fit_reduced_basis(np.eye(3), "svd", 0.9)
+
+    def test_input_checks(self):
+        M = np.eye(3)
+        for target in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                fit_reduced_basis(M, "svd", target)
+        with pytest.raises(ValueError):
+            fit_reduced_basis(M[:1], "svd", 0.9)
+        with pytest.raises(ValueError):
+            fit_reduced_basis(M, "ica", 0.9)
 
 
 class TestTextBlock:
