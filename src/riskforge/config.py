@@ -181,7 +181,6 @@ def validate_config(path):
 
 def echo_config(cfg):
     """Normalized config text; defaulted entries are marked."""
-    by_attr = {attr: (s, k) for (s, k), (attr, _, _) in _SCHEMA.items()}
     out = io.StringIO()
     last_section = None
     for (section, key), (attr, typ, _) in _SCHEMA.items():

@@ -36,8 +36,11 @@ KINDS = ("num", "int", "str", "time")
 NUMERIC_KINDS = ("num", "int", "time")
 TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
 _EPOCH = datetime(1970, 1, 1)
-# cells converted per block of rows; bounds the cell strings held at once
+# cells converted per block of rows; bounds the cell strings held at once,
+# though a block never has fewer than _BLOCK_MIN_ROWS rows, so that a wide
+# table is not converted a few rows per numpy call
 _BLOCK_CELLS = 1 << 14
+_BLOCK_MIN_ROWS = 256
 # a time cell numpy and strptime read alike; year 0 is left to strptime
 _TIME_CELL = re.compile(
     r"(?:(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2})?")
@@ -287,6 +290,11 @@ def read_header(path):
     return header
 
 
+def _block_rows(n_cols):
+    """Rows per converted block: max(16 384, 256 * n_cols) cells at most."""
+    return max(_BLOCK_MIN_ROWS, _BLOCK_CELLS // max(1, n_cols))
+
+
 def read_csv(path, schema):
     """Read a CSV into a PatientFrame.
 
@@ -300,7 +308,7 @@ def read_csv(path, schema):
         if name not in header:
             raise MissingColumn(name)
     positions = [header.index(name) for name, _ in schema]
-    block_rows = max(1, _BLOCK_CELLS // max(1, len(header)))
+    block_rows = _block_rows(len(header))
     blocks = []
     # the reader makes a list per row and the transpose a tuple per column;
     # none can be part of a cycle, so collecting meanwhile is wasted work
@@ -361,7 +369,7 @@ def write_csv(frame, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(frame.names)
-            block_rows = max(1, _BLOCK_CELLS // max(1, frame.n_cols))
+            block_rows = _block_rows(frame.n_cols)
             for start in range(0, frame.n_rows, block_rows):
                 rows = slice(start, start + block_rows)
                 writer.writerows(zip(*[

@@ -145,21 +145,6 @@ def window_24h(events, stays, *, key="stay_id", time_column="charttime"):
     return linked.filter(ok).drop(["intime"]), unlinked
 
 
-def apply_plausibility(frame, rules):
-    """Mask out-of-range cells (rows survive); returns (frame, per-rule counts)."""
-    out = frame
-    counts = {}
-    for rule in rules:
-        if not out.has_column(rule.variable):
-            continue
-        vals, mask = out.column(rule.variable)
-        bad = (~mask) & ((vals < rule.lower) | (vals > rule.upper))
-        counts[rule.variable] = int(bad.sum())
-        if bad.any():
-            out = out.with_column(rule.variable, out.kind(rule.variable), vals, mask | bad)
-    return out, counts
-
-
 def gcs_total(eye, verbal, motor):
     """Sum of component means; components validated against their ranges."""
     e = np.asarray(eye, dtype=float)

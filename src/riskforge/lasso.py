@@ -76,31 +76,20 @@ def default_grid(lmax, size=100, ratio=1e-4):
 def fold_assignments(y, n_folds, seed, keys=None):
     """Stratified fold ids keyed on row identity.
 
-    Rows are ordered by their key (defaults to position) before the seeded
-    shuffle, so permuting input rows permutes fold ids with them and the
-    curve is unchanged.
+    Rows are ordered by their key (defaults to position; ties keep input
+    order) before the seeded shuffle, so permuting input rows permutes fold
+    ids with them and the curve is unchanged.
     """
     y = np.asarray(y)
     n = len(y)
-    if keys is None:
-        keys = np.arange(n)
-    keys = list(keys)
+    order = np.arange(n) if keys is None else np.argsort(keys, kind="stable")
     folds = np.empty(n, dtype=int)
     rng = np.random.default_rng(seed)
     for cls in (0, 1):
-        idx = [i for i in range(n) if y[i] == cls]
-        idx.sort(key=lambda i: _key_rank(keys[i]))
-        idx = np.asarray(idx, dtype=int)
+        idx = order[y[order] == cls]
         idx = idx[rng.permutation(idx.size)]
-        for pos, row in enumerate(idx):
-            folds[row] = pos % n_folds
+        folds[idx] = np.arange(idx.size) % n_folds
     return folds
-
-
-def _key_rank(key):
-    if isinstance(key, (int, np.integer, float, np.floating)):
-        return (0, float(key), "")
-    return (1, 0.0, str(key))
 
 
 def binomial_deviance(y, eta):
@@ -121,8 +110,8 @@ def cv_deviance(X, y, *, grid_size=100, n_folds=10, seed=0, keys=None,
     if keys is not None:
         # solve in key order so that every sum, the grid's included, is
         # accumulated in the same order whatever the input row order
-        order = sorted(range(len(y)), key=lambda i: _key_rank(keys[i]))
-        X, y, keys = X[order], y[order], [keys[i] for i in order]
+        order = np.argsort(keys, kind="stable")
+        X, y, keys = X[order], y[order], np.asarray(keys)[order]
     lmax = lambda_max(X, y)
     if lmax <= 0:
         raise DegenerateFold("outcome is constant; no usable penalty grid")

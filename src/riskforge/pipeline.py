@@ -264,10 +264,10 @@ def run_text(cfg):
 # --- matrix assembly shared by select/fit/evaluate ---
 
 
-def _load_matrices(cfg, stage):
-    """Returns (y, keys, structured fm per imputation, text fm, train rows,
-    the "train"/"val" label of every row)."""
-    imputed = [_load(cfg, f"imputed_{k}.csv", stage) for k in range(1, cfg.mice_m + 1)]
+def _load_matrices(cfg, stage, m):
+    """Returns (y, keys, structured fm of each of the first ``m`` imputations,
+    text fm, train rows, the "train"/"val" label of every row)."""
+    imputed = [_load(cfg, f"imputed_{k}.csv", stage) for k in range(1, m + 1)]
     base = imputed[0]
     y = base.values(OUTCOME)
     keys = base.values("hadm_id").astype(int)
@@ -294,11 +294,11 @@ def _variant_matrix(structured_fm, text_fm, variant):
 
 
 def run_select(cfg):
-    y, keys, mats, text_fm, train_idx, split = _load_matrices(cfg, "select")
+    y, keys, (structured,), text_fm, train_idx, split = _load_matrices(cfg, "select", 1)
     outs = [_save(cfg, "split.csv", [("hadm_id", "int", keys), ("split", "str", split)])]
 
     for variant in VARIANTS:
-        fm = _variant_matrix(mats[0], text_fm, variant)
+        fm = _variant_matrix(structured, text_fm, variant)
         std = design.standardize(fm, train_idx)
         Xt = std.X[train_idx]
         yt = y[train_idx]
@@ -364,7 +364,7 @@ def _alias(cfg, pairs):
 
 
 def run_fit(cfg):
-    y, keys, mats, text_fm, train_idx, split = _load_matrices(cfg, "fit")
+    y, keys, mats, text_fm, train_idx, split = _load_matrices(cfg, "fit", cfg.mice_m)
     _need(os.path.join(cfg.out_dir, "split.csv"), "fit")
     outs = []
 
@@ -375,8 +375,7 @@ def run_fit(cfg):
         sets = {"lasso": feats[selected.values("in_lasso") == 1.0].tolist(),
                 "gbt": feats[selected.values("in_gbt") == 1.0].tolist(),
                 "combined": feats.tolist()}
-        fm_full = _variant_matrix(mats[0], text_fm, variant)
-        std_full = design.standardize(fm_full, train_idx)
+        std_full = design.standardize(_variant_matrix(mats[0], text_fm, variant), train_idx)
 
         screen_rows = glm.univariate_screen(
             std_full.subset(sets["combined"]).rows(train_idx), y[train_idx])
@@ -386,31 +385,36 @@ def run_fit(cfg):
             [(r.name, r.coef, r.p, _fmt_p(r.p), r.significant) for r in screen_rows])))
         significant = {r.name for r in screen_rows if r.significant}
 
+        kept = {}
         for fset in FEATURE_SETS:
             base = sets[fset]
             candidates = [n for n in base if n in significant] or base[:3]
             vrep = glm.vif(std_full.subset(candidates).rows(train_idx))
-            kept = vrep.kept
+            kept[fset] = vrep.kept
             outs.append(_save(cfg, f"vif_{variant}_{fset}.csv", _rows(
                 [("variable", "str"), ("vif", "num"), ("dropped", "int")],
-                [(n, _cap_inf(v), n not in kept) for n, v in vrep.vifs.items()])))
+                [(n, _cap_inf(v), n not in vrep.kept) for n, v in vrep.vifs.items()])))
 
-            fits, probs_sum = [], np.zeros(len(y))
-            for fm_k in mats:
-                fmv = _variant_matrix(fm_k, text_fm, variant)
-                stdk = design.apply_standardization(fmv, std_full.mean, std_full.scale)
-                sub = stdk.subset(kept)
+        fits = {fset: [] for fset in FEATURE_SETS}
+        probs_sum = {fset: np.zeros(len(y)) for fset in FEATURE_SETS}
+        for k, fm_k in enumerate(mats):
+            # each imputation on the first one's training-row scale, standardized
+            # once and fitted on every feature set before the next one is made
+            stdk = std_full if k == 0 else design.apply_standardization(
+                _variant_matrix(fm_k, text_fm, variant), std_full.mean, std_full.scale)
+            for fset in FEATURE_SETS:
+                sub = stdk.subset(kept[fset])
                 fit = glm.fit_logistic(sub.X[train_idx], y[train_idx],
-                                       names=kept, raise_on_separation=False)
-                fits.append(fit)
-                probs_sum += glm.sigmoid(fit.coef[0] + sub.X @ fit.coef[1:])
-            pooled = impute.rubin_pool(fits)
-            probs = probs_sum / len(mats)
+                                       names=kept[fset], raise_on_separation=False)
+                fits[fset].append(fit)
+                probs_sum[fset] += glm.sigmoid(fit.coef[0] + sub.X @ fit.coef[1:])
 
+        for fset in FEATURE_SETS:
+            pooled = impute.rubin_pool(fits[fset])
             zstat = np.where(pooled.se > 0, pooled.beta_mi / pooled.se, 0.0)
             pvals = glm.wald_p(zstat)
             outs.append(_save(cfg, f"model_summary_{variant}_{fset}.csv", [
-                ("variable", "str", ["intercept"] + kept),
+                ("variable", "str", ["intercept"] + kept[fset]),
                 ("coef", "num", pooled.beta_mi),
                 ("se", "num", pooled.se),
                 ("z", "num", zstat),
@@ -420,14 +424,14 @@ def run_fit(cfg):
             ]))
             outs.append(_save(cfg, f"model_stats_{variant}_{fset}.csv", [
                 ("key", "str", ["n_features", "pseudo_r2", "loglik", "n_train"]),
-                ("value", "num", [len(kept), np.mean([f.pseudo_r2 for f in fits]),
-                                  np.mean([f.loglik for f in fits]), len(train_idx)]),
+                ("value", "num", [len(kept[fset]), np.mean([f.pseudo_r2 for f in fits[fset]]),
+                                  np.mean([f.loglik for f in fits[fset]]), len(train_idx)]),
             ]))
             outs.append(_save(cfg, f"predictions_{variant}_{fset}.csv", [
                 ("hadm_id", "int", keys),
                 ("split", "str", split),
                 ("y", "int", y),
-                ("prob", "num", probs),
+                ("prob", "num", probs_sum[fset] / len(mats)),
             ]))
     outs += _alias(cfg, [
         ("univariate_multimodal.csv", "univariate_report.csv"),

@@ -11,6 +11,14 @@ true linear predictor).
 Ineligible rows (minors, repeat stays, non-matching codes, duplicate
 diagnosis rows, implausible measurements, post-discharge deaths) are woven
 in deliberately so the cohort and cleaning stages have real work to do.
+
+Tables are built a column at a time, and every draw comes from the same
+generator in the same order as one draw per row would: PCG64 spends one
+64-bit word per double whether doubles are drawn singly or as an array.
+Loops remain only where that order cannot be kept in an array draw: where
+``integers`` (which takes buffered 32-bit halves of a word) interleaves
+with doubles (note tokens, diagnoses, notes with their embeddings), and
+where a row's second draw depends on its first (deaths).
 """
 
 import math
@@ -248,6 +256,7 @@ def simulate(cfg):
     y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
 
     death = np.full(n, np.nan)
+    # row by row: a survivor's second draw depends on its first
     for i in range(n):
         if y[i] == 1.0:
             death[i] = intime[i] + rng.uniform(DAY, max(DAY * 1.5, dischtime[i] - intime[i]))
@@ -328,6 +337,7 @@ def _render_note(rng, latent, filler):
     p_risk = 0.30 / (1.0 + math.exp(-1.8 * latent))
     p_prot = 0.30 / (1.0 + math.exp(1.8 * latent))
     tokens = []
+    # row by row: integer draws interleave with doubles
     for _ in range(length):
         u = rng.uniform()
         if u < p_risk:
@@ -342,11 +352,8 @@ def _render_note(rng, latent, filler):
             tokens.append("___")
         if rng.uniform() < 0.04:
             tokens.append(str(int(rng.integers(100))))
-    text = ""
-    for i, t in enumerate(tokens):
-        text += t
-        text += ". " if rng.uniform() < 0.1 else " "
-    return text.strip()
+    stops = rng.uniform(size=len(tokens)) < 0.1
+    return "".join(t + (". " if stop else " ") for t, stop in zip(tokens, stops)).strip()
 
 
 def _emb_factors(rng, dim, rank):
@@ -356,10 +363,6 @@ def _emb_factors(rng, dim, rank):
 
 
 # --- CSV emission ---
-
-
-def _frame_rows(columns):
-    return PatientFrame.from_columns(columns)
 
 
 def generate(cfg, out_dir):
@@ -377,10 +380,10 @@ def generate(cfg, out_dir):
     pat_subj = np.concatenate([sim.subject_id, minor_subj])
     pat_age = np.concatenate([sim.anchor_age, rng.integers(5, 18, n_minor)])
     gender = np.where(rng.uniform(size=len(pat_subj)) < 0.44, "F", "M")
-    write_csv(_frame_rows([
+    write_csv(PatientFrame.from_columns([
         ("subject_id", "int", pat_subj.astype(float)),
         ("anchor_age", "int", pat_age.astype(float)),
-        ("gender", "str", list(gender)),
+        ("gender", "str", gender),
     ]), os.path.join(out_dir, "patients.csv"))
 
     # diagnoses: arrest codes (with duplicates), comorbidity codes, noise codes
@@ -392,6 +395,7 @@ def generate(cfg, out_dir):
 
     arrest_choice = rng.integers(0, len(ARREST_CODES), n)
     dup_rows = rng.uniform(size=n) < 0.05
+    # row by row: integer draws interleave with doubles
     for i in range(n):
         diag(sim.subject_id[i], sim.hadm_id[i], ARREST_CODES[arrest_choice[i]])
         if dup_rows[i]:
@@ -406,54 +410,36 @@ def generate(cfg, out_dir):
                  NOISE_CODES[int(rng.integers(len(NOISE_CODES)))], seq)
     for j in range(n_minor):
         diag(minor_subj[j], minor_hadm[j], ARREST_CODES[int(rng.integers(4))])
-    write_csv(_frame_rows([
-        ("subject_id", "int", np.array(d_subj)),
-        ("hadm_id", "int", np.array(d_hadm)),
-        ("seq_num", "int", np.array(d_seq)),
+    write_csv(PatientFrame.from_columns([
+        ("subject_id", "int", d_subj),
+        ("hadm_id", "int", d_hadm),
+        ("seq_num", "int", d_seq),
         ("icd_code", "str", d_code),
     ]), os.path.join(out_dir, "diagnoses_icd.csv"))
 
     # icustays: the index stay, later repeat stays, and minor stays
-    s_subj = list(sim.subject_id.astype(float))
-    s_hadm = list(sim.hadm_id.astype(float))
-    s_stay = list(sim.stay_id.astype(float))
-    s_in = list(sim.intime)
-    s_out = list(np.minimum(sim.intime + 3 * DAY, sim.dischtime))
-    extra = rng.uniform(size=n) < cfg.extra_stay_fraction
-    for i in np.flatnonzero(extra):
-        s_subj.append(float(sim.subject_id[i]))
-        s_hadm.append(float(sim.hadm_id[i]))
-        s_stay.append(float(40_000_000 + i))
-        later = sim.intime[i] + rng.uniform(35, 60) * DAY
-        s_in.append(round(later))
-        s_out.append(round(later + DAY))
-    for j in range(n_minor):
-        s_subj.append(float(minor_subj[j]))
-        s_hadm.append(float(minor_hadm[j]))
-        s_stay.append(float(minor_stay[j]))
-        t = BASE_TIME + rng.uniform(0, 300) * DAY
-        s_in.append(round(t))
-        s_out.append(round(t + DAY))
-    write_csv(_frame_rows([
-        ("subject_id", "int", np.array(s_subj)),
-        ("hadm_id", "int", np.array(s_hadm)),
-        ("stay_id", "int", np.array(s_stay)),
-        ("intime", "time", np.array(s_in)),
-        ("outtime", "time", np.array(s_out)),
+    extra = np.flatnonzero(rng.uniform(size=n) < cfg.extra_stay_fraction)
+    later = sim.intime[extra] + rng.uniform(35, 60, len(extra)) * DAY
+    minor_in = BASE_TIME + rng.uniform(0, 300, n_minor) * DAY
+    starts = np.concatenate([later, minor_in])
+    write_csv(PatientFrame.from_columns([
+        ("subject_id", "int", np.concatenate([sim.subject_id, sim.subject_id[extra], minor_subj])),
+        ("hadm_id", "int", np.concatenate([sim.hadm_id, sim.hadm_id[extra], minor_hadm])),
+        ("stay_id", "int", np.concatenate([sim.stay_id, 40_000_000 + extra, minor_stay])),
+        ("intime", "time", np.concatenate([sim.intime, np.round(starts)])),
+        ("outtime", "time", np.concatenate([np.minimum(sim.intime + 3 * DAY, sim.dischtime),
+                                            np.round(starts + DAY)])),
     ]), os.path.join(out_dir, "icustays.csv"))
 
     # admissions
-    a_subj = np.concatenate([sim.subject_id, minor_subj]).astype(float)
-    a_hadm = np.concatenate([sim.hadm_id, minor_hadm]).astype(float)
-    a_admit = np.concatenate([sim.intime - 6 * HOUR, np.full(n_minor, BASE_TIME)])
-    a_disch = np.concatenate([sim.dischtime, np.full(n_minor, BASE_TIME + 2 * DAY)])
     a_death = np.concatenate([sim.deathtime, np.full(n_minor, np.nan)])
-    write_csv(_frame_rows([
-        ("subject_id", "int", a_subj),
-        ("hadm_id", "int", a_hadm),
-        ("admittime", "time", a_admit),
-        ("dischtime", "time", a_disch),
-        ("deathtime", "time", a_death, np.isnan(a_death)),
+    write_csv(PatientFrame.from_columns([
+        ("subject_id", "int", np.concatenate([sim.subject_id, minor_subj])),
+        ("hadm_id", "int", np.concatenate([sim.hadm_id, minor_hadm])),
+        ("admittime", "time", np.concatenate([sim.intime - 6 * HOUR, np.full(n_minor, BASE_TIME)])),
+        ("dischtime", "time", np.concatenate([sim.dischtime,
+                                              np.full(n_minor, BASE_TIME + 2 * DAY)])),
+        ("deathtime", "time", a_death),
     ]), os.path.join(out_dir, "admissions.csv"))
 
     _write_events(sim, rng, out_dir)
@@ -469,12 +455,23 @@ def generate(cfg, out_dir):
         truth_rows.append(("beta", name, sim.truth["beta"][name]))
     for name in sim.truth["informative"]:
         truth_rows.append(("informative", name, 1.0))
-    write_csv(_frame_rows([
-        ("kind", "str", [r[0] for r in truth_rows]),
-        ("name", "str", [r[1] for r in truth_rows]),
-        ("value", "num", np.array([r[2] for r in truth_rows])),
+    kinds, names, values = zip(*truth_rows)
+    write_csv(PatientFrame.from_columns([
+        ("kind", "str", kinds), ("name", "str", names), ("value", "num", values),
     ]), os.path.join(out_dir, "ground_truth.csv"))
     return sim
+
+
+def _events_frame(sim, blocks, charted):
+    """One event table from (stay rows, times, itemids, values, units) blocks;
+    chart tables (``charted``) carry stay_id and units, lab tables do not."""
+    rows, times, items, values, units = (np.concatenate(c) for c in zip(*blocks))
+    ids = ("subject_id", "hadm_id", "stay_id") if charted else ("subject_id", "hadm_id")
+    columns = [(name, "int", getattr(sim, name)[rows]) for name in ids]
+    columns += [("charttime", "time", times), ("itemid", "int", items), ("valuenum", "num", values)]
+    if charted:
+        columns.append(("valueuom", "str", units))
+    return PatientFrame.from_columns(columns)
 
 
 def _write_events(sim, rng, out_dir):
@@ -482,164 +479,97 @@ def _write_events(sim, rng, out_dir):
     n = len(sim.y)
     vital_set = set(VITAL_NAMES) | set(GCS_NAMES)
 
-    c_subj, c_hadm, c_stay, c_time, c_item, c_val, c_uom = [], [], [], [], [], [], []
-    l_subj, l_hadm, l_time, l_item, l_val = [], [], [], [], []
-
+    # every unmasked stay's draws of a variable, stay by stay in draw order
+    chart, lab = [], []
     for name in sorted(sim.event_values):
         vals = sim.event_values[name]
-        offs = sim.event_times[name]
-        masked = sim.masked[name]
-        item = ITEMID_OF[name]
-        is_vital = name in vital_set
-        celsius_item = 223762
-        for i in range(n):
-            if masked[i]:
-                continue
-            for k in range(vals.shape[1]):
-                t = sim.intime[i] + offs[i, k]
-                v = float(vals[i, k])
-                if is_vital:
-                    itemid, uom = item, ""
-                    if name == "bt" and (i + k) % 3 == 0:
-                        # a third of temperature rows arrive in Celsius
-                        itemid = celsius_item
-                        v = (v - 32.0) * 5.0 / 9.0
-                        uom = "C"
-                    elif name == "bt":
-                        uom = "F"
-                    c_subj.append(float(sim.subject_id[i]))
-                    c_hadm.append(float(sim.hadm_id[i]))
-                    c_stay.append(float(sim.stay_id[i]))
-                    c_time.append(t)
-                    c_item.append(float(itemid))
-                    c_val.append(v)
-                    c_uom.append(uom)
-                else:
-                    l_subj.append(float(sim.subject_id[i]))
-                    l_hadm.append(float(sim.hadm_id[i]))
-                    l_time.append(t)
-                    l_item.append(float(item))
-                    l_val.append(v)
+        n_draws = vals.shape[1]
+        stays = np.flatnonzero(~sim.masked[name])
+        rows = np.repeat(stays, n_draws)
+        times = sim.intime[rows] + sim.event_times[name][stays].ravel()
+        values = vals[stays].ravel()
+        items = np.full(len(rows), float(ITEMID_OF[name]))
+        units = np.full(len(rows), "F" if name == "bt" else "", dtype=object)
+        if name == "bt":
+            # a third of temperature rows arrive in Celsius
+            celsius = (rows + np.tile(np.arange(n_draws), len(stays))) % 3 == 0
+            items[celsius] = 223762.0
+            values = np.where(celsius, (values - 32.0) * 5.0 / 9.0, values)
+            units[celsius] = "C"
+        (chart if name in vital_set else lab).append((rows, times, items, values, units))
 
     # out-of-window and implausible rows the pipeline must ignore
     n_extra = max(1, int(0.02 * n))
     pick = rng.integers(0, n, n_extra)
-    for i in pick:
-        c_subj.append(float(sim.subject_id[i]))
-        c_hadm.append(float(sim.hadm_id[i]))
-        c_stay.append(float(sim.stay_id[i]))
-        c_time.append(sim.intime[i] + 24 * HOUR + rng.uniform(0.5, 6) * HOUR)
-        c_item.append(float(ITEMID_OF["hr"]))
-        c_val.append(float(rng.uniform(60, 120)))
-        c_uom.append("")
+    late = rng.uniform([0.5, 60.0], [6.0, 120.0], (n_extra, 2))  # (hours past 24 h, value)
+    chart.append((pick, sim.intime[pick] + 24 * HOUR + late[:, 0] * HOUR,
+                  np.full(n_extra, float(ITEMID_OF["hr"])), late[:, 1],
+                  np.full(n_extra, "", dtype=object)))
     n_bad = max(1, int(cfg.implausible_fraction * n))
     bad_specs = [("wbc", 0.3), ("glucose", 700.0), ("lactate", 25.0), ("hr", 400.0)]
-    for j, i in enumerate(rng.integers(0, n, n_bad)):
-        name, bad_val = bad_specs[j % len(bad_specs)]
-        if name == "hr":
-            c_subj.append(float(sim.subject_id[i]))
-            c_hadm.append(float(sim.hadm_id[i]))
-            c_stay.append(float(sim.stay_id[i]))
-            c_time.append(sim.intime[i] + rng.uniform(1, 23) * HOUR)
-            c_item.append(float(ITEMID_OF[name]))
-            c_val.append(bad_val)
-            c_uom.append("")
-        else:
-            l_subj.append(float(sim.subject_id[i]))
-            l_hadm.append(float(sim.hadm_id[i]))
-            l_time.append(sim.intime[i] + rng.uniform(1, 23) * HOUR)
-            l_item.append(float(ITEMID_OF[name]))
-            l_val.append(bad_val)
+    bad_rows = rng.integers(0, n, n_bad)
+    bad_times = sim.intime[bad_rows] + rng.uniform(1, 23, n_bad) * HOUR
+    spec = np.arange(n_bad) % len(bad_specs)
+    bad_names = np.array([name for name, _ in bad_specs])[spec]
+    bad_items = np.array([float(ITEMID_OF[name]) for name, _ in bad_specs])[spec]
+    bad_values = np.array([value for _, value in bad_specs])[spec]
+    for table, keep in ((chart, bad_names == "hr"), (lab, bad_names != "hr")):
+        table.append((bad_rows[keep], bad_times[keep], bad_items[keep], bad_values[keep],
+                       np.full(int(keep.sum()), "", dtype=object)))
 
-    write_csv(_frame_rows([
-        ("subject_id", "int", np.array(c_subj)),
-        ("hadm_id", "int", np.array(c_hadm)),
-        ("stay_id", "int", np.array(c_stay)),
-        ("charttime", "time", np.array(c_time)),
-        ("itemid", "int", np.array(c_item)),
-        ("valuenum", "num", np.array(c_val)),
-        ("valueuom", "str", c_uom),
-    ]), os.path.join(out_dir, "chartevents.csv"))
-    write_csv(_frame_rows([
-        ("subject_id", "int", np.array(l_subj)),
-        ("hadm_id", "int", np.array(l_hadm)),
-        ("charttime", "time", np.array(l_time)),
-        ("itemid", "int", np.array(l_item)),
-        ("valuenum", "num", np.array(l_val)),
-    ]), os.path.join(out_dir, "labevents.csv"))
+    write_csv(_events_frame(sim, chart, True), os.path.join(out_dir, "chartevents.csv"))
+    write_csv(_events_frame(sim, lab, False), os.path.join(out_dir, "labevents.csv"))
 
-    p_subj, p_hadm, p_stay, p_time, p_item = [], [], [], [], []
-    i_subj, i_hadm, i_stay, i_time, i_item = [], [], [], [], []
-    for i in range(n):
-        if sim.flags["received_ventilation"][i] == 1.0:
-            p_subj.append(float(sim.subject_id[i]))
-            p_hadm.append(float(sim.hadm_id[i]))
-            p_stay.append(float(sim.stay_id[i]))
-            p_time.append(sim.intime[i] + rng.uniform(0.5, 20) * HOUR)
-            p_item.append(225792.0)
-        for flag, item in (("epinephrine", 221289.0), ("dopamine", 221662.0)):
-            if sim.flags[flag][i] == 1.0:
-                i_subj.append(float(sim.subject_id[i]))
-                i_hadm.append(float(sim.hadm_id[i]))
-                i_stay.append(float(sim.stay_id[i]))
-                i_time.append(sim.intime[i] + rng.uniform(0.5, 20) * HOUR)
-                i_item.append(item)
-    write_csv(_frame_rows([
-        ("subject_id", "int", np.array(p_subj)),
-        ("hadm_id", "int", np.array(p_hadm)),
-        ("stay_id", "int", np.array(p_stay)),
-        ("starttime", "time", np.array(p_time)),
-        ("itemid", "int", np.array(p_item)),
-    ]), os.path.join(out_dir, "procedureevents.csv"))
-    write_csv(_frame_rows([
-        ("subject_id", "int", np.array(i_subj)),
-        ("hadm_id", "int", np.array(i_hadm)),
-        ("stay_id", "int", np.array(i_stay)),
-        ("starttime", "time", np.array(i_time)),
-        ("itemid", "int", np.array(i_item)),
-    ]), os.path.join(out_dir, "inputevents.csv"))
+    # one start-time draw per (stay, treatment) given, stay by stay
+    given = np.column_stack([sim.flags[flag] == 1.0 for flag in
+                             ("received_ventilation", "epinephrine", "dopamine")])
+    rows, treatment = np.nonzero(given)
+    starts = sim.intime[rows] + rng.uniform(0.5, 20, len(rows)) * HOUR
+    items = np.array([225792.0, 221289.0, 221662.0])[treatment]
+    for name, keep in (("procedureevents.csv", treatment == 0),
+                       ("inputevents.csv", treatment > 0)):
+        write_csv(PatientFrame.from_columns(
+            [(col, "int", getattr(sim, col)[rows[keep]])
+             for col in ("subject_id", "hadm_id", "stay_id")]
+            + [("starttime", "time", starts[keep]), ("itemid", "int", items[keep])]),
+            os.path.join(out_dir, name))
 
 
 def _write_notes(sim, rng, out_dir):
     cfg = sim.cfg
-    n = len(sim.y)
     loadings = _emb_factors(np.random.default_rng(cfg.seed + 77), cfg.emb_dim, cfg.emb_rank)
     factor_scale = np.array([3.0] + [2.0 / (1 + k) + 1.0 for k in range(loadings.shape[0] - 1)])
 
     for kind, filler_tag in (("discharge", "zd"), ("radiology", "zr")):
-        present = sim.note_present[kind]
         filler = _filler_pool(rng, 80, filler_tag)
-        rows_hadm, rows_subj, rows_time, rows_text = [], [], [], []
-        emb_hadm, emb_rows = [], []
-        for i in range(n):
-            if not present[i]:
-                continue
+        stays = np.flatnonzero(sim.note_present[kind])
+        note_rows, note_times, texts, emb_rows = [], [], [], []
+        # row by row: rendering a note draws integers between these doubles
+        for i in stays:
             t = sim.dischtime[i] - HOUR if kind == "discharge" else sim.intime[i] + 2 * HOUR
-            rows_subj.append(float(sim.subject_id[i]))
-            rows_hadm.append(float(sim.hadm_id[i]))
-            rows_time.append(round(t))
-            rows_text.append(_render_note(rng, sim.text_latent[i], filler))
+            note_rows.append(i)
+            note_times.append(round(t))
+            texts.append(_render_note(rng, sim.text_latent[i], filler))
             if kind == "radiology" and rng.uniform() < 0.4:
                 # later duplicate report; selection must keep the earliest
-                rows_subj.append(float(sim.subject_id[i]))
-                rows_hadm.append(float(sim.hadm_id[i]))
-                rows_time.append(round(t + rng.uniform(2, 30) * HOUR))
-                rows_text.append(_render_note(rng, sim.text_latent[i], filler))
+                note_rows.append(i)
+                note_times.append(round(t + rng.uniform(2, 30) * HOUR))
+                texts.append(_render_note(rng, sim.text_latent[i], filler))
             factors = np.concatenate([[sim.text_latent[i]],
                                       rng.standard_normal(loadings.shape[0] - 1)])
-            emb = (factors * factor_scale) @ loadings + 0.25 * rng.standard_normal(cfg.emb_dim)
-            emb_hadm.append(float(sim.hadm_id[i]))
-            emb_rows.append(emb)
-        write_csv(_frame_rows([
-            ("note_id", "str", [f"{kind[:2]}-{int(h)}-{j}" for j, h in enumerate(rows_hadm)]),
-            ("subject_id", "int", np.array(rows_subj)),
-            ("hadm_id", "int", np.array(rows_hadm)),
-            ("charttime", "time", np.array(rows_time)),
-            ("text", "str", rows_text),
+            emb_rows.append((factors * factor_scale) @ loadings
+                            + 0.25 * rng.standard_normal(cfg.emb_dim))
+        hadm = sim.hadm_id[note_rows]
+        write_csv(PatientFrame.from_columns([
+            ("note_id", "str", [f"{kind[:2]}-{h}-{j}" for j, h in enumerate(hadm)]),
+            ("subject_id", "int", sim.subject_id[note_rows]),
+            ("hadm_id", "int", hadm),
+            ("charttime", "time", note_times),
+            ("text", "str", texts),
         ]), os.path.join(out_dir, f"{kind}.csv"))
 
         emb_mat = np.vstack(emb_rows) if emb_rows else np.zeros((0, cfg.emb_dim))
-        cols = [("hadm_id", "int", np.array(emb_hadm))]
-        for d in range(cfg.emb_dim):
-            cols.append((f"emb_{d}", "num", emb_mat[:, d] if len(emb_rows) else np.array([])))
-        write_csv(_frame_rows(cols), os.path.join(out_dir, f"{kind}_emb.csv"))
+        write_csv(PatientFrame.from_columns(
+            [("hadm_id", "int", sim.hadm_id[stays])]
+            + [(f"emb_{d}", "num", emb_mat[:, d]) for d in range(cfg.emb_dim)]),
+            os.path.join(out_dir, f"{kind}_emb.csv"))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riskforge.errors import KeyMissing, MissingColumn, NonNumericColumn
-from riskforge.frame import (JoinSpec, PatientFrame, aggregate_by_key, join,
+from riskforge.frame import (JoinSpec, PatientFrame, _block_rows, aggregate_by_key, join,
                              parse_time, format_time, read_csv, write_csv)
 
 
@@ -280,6 +280,10 @@ def assert_matches_reference(frame, name, kind, cells):
             assert np.float64(v).tobytes() == np.float64(ev).tobytes(), (cell, v, ev)
 
 
+WIDE_COLUMNS = 70
+WIDE_KINDS = ("num", "int", "time", "str")
+
+
 class TestReadCsvOracle:
     @pytest.mark.parametrize("kind", ["num", "int", "time", "str"])
     def test_tricky_cells_match_per_cell_reference(self, tmp_path, kind):
@@ -313,6 +317,35 @@ class TestReadCsvOracle:
         assert frame.n_rows == n
         for kind, cells in columns.items():
             assert_matches_reference(frame, kind, kind, cells)
+
+    def test_wide_multi_block_table_matches_per_cell_reference(self, tmp_path):
+        # 70 columns make 256-row blocks, so 600 rows span three; odd cells
+        # sit only past the first block in half the columns, so one block
+        # converts column-wide while the next falls back cell by cell
+        n, rng = 600, np.random.default_rng(8)
+        assert _block_rows(WIDE_COLUMNS) < n // 2
+        valid = {
+            "num": lambda: repr(float(rng.normal(0, 1e3))),
+            "int": lambda: str(int(rng.integers(-10 ** 9, 10 ** 9))),
+            "time": lambda: (EPOCH + timedelta(seconds=int(rng.integers(0, 6 * 10 ** 9)))
+                             ).strftime(TIME_FORMAT),
+            "str": lambda: "".join(rng.choice(list("ab ,\"'"), 3)),
+        }
+        columns = {}
+        for j in range(WIDE_COLUMNS):
+            kind = WIDE_KINDS[j % 4]
+            cells = [valid[kind]() for _ in range(n)]
+            if j % 8 >= 4:
+                odd = TRICKY[kind]
+                for r in rng.integers(_block_rows(WIDE_COLUMNS), n, 20):
+                    cells[r] = odd[int(rng.integers(len(odd)))]
+            columns[f"{kind}{j}"] = cells
+        write_cells(tmp_path / "wide.csv", columns)
+        frame = read_csv(tmp_path / "wide.csv",
+                         [(name, WIDE_KINDS[j % 4]) for j, name in enumerate(columns)])
+        assert frame.n_rows == n
+        for j, (name, cells) in enumerate(columns.items()):
+            assert_matches_reference(frame, name, WIDE_KINDS[j % 4], cells)
 
     def test_short_rows_read_as_blank_cells(self, tmp_path):
         p = tmp_path / "ev.csv"
@@ -353,6 +386,32 @@ class TestWriteCsvOracle:
         assert len(rows) == n + 1
         for j, (name, (kind, vals)) in enumerate(columns.items()):
             mask = masks[name] if kind != "str" else np.zeros(n, dtype=bool)
+            expected = [reference_format(v, m, kind) for v, m in zip(vals, mask)]
+            assert [r[j] for r in rows[1:]] == expected, name
+
+    def test_wide_multi_block_table_matches_per_cell_reference(self, tmp_path):
+        # 70 columns make 256-row blocks, so 600 rows span three
+        n, rng = 600, np.random.default_rng(9)
+        assert _block_rows(WIDE_COLUMNS) < n // 2
+        draw = {
+            "num": lambda: rng.normal(0, 1e3, n),
+            "int": lambda: rng.integers(-20, 20, n) + rng.choice([0.0, 0.5], n),
+            "time": lambda: rng.uniform(-1e9, 1e10, n),
+            "str": lambda: ["".join(rng.choice(list("ab ,\"'"), 3)) for _ in range(n)],
+        }
+        columns = {}
+        for j in range(WIDE_COLUMNS):
+            kind = WIDE_KINDS[j % 4]
+            mask = rng.uniform(size=n) < 0.1 if kind != "str" else np.zeros(n, dtype=bool)
+            columns[f"{kind}{j}"] = (kind, draw[kind](), mask)
+        frame = PatientFrame.from_columns([
+            (name, kind, vals, mask) for name, (kind, vals, mask) in columns.items()])
+        write_csv(frame, tmp_path / "wide.csv")
+        with open(tmp_path / "wide.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == list(columns)
+        assert len(rows) == n + 1
+        for j, (name, (kind, vals, mask)) in enumerate(columns.items()):
             expected = [reference_format(v, m, kind) for v, m in zip(vals, mask)]
             assert [r[j] for r in rows[1:]] == expected, name
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from riskforge.errors import ComponentOutOfRange
 from riskforge.harmonize import (DEFAULT_PLAUSIBILITY, PlausibilityRule,
-                                 apply_plausibility, binary_flags,
+                                 _apply_rules_long, binary_flags,
                                  convert_temperature, derive_mbp,
                                  build_structured_features,
                                  fahrenheit_to_celsius, gcs_total, mean_bp,
@@ -92,37 +92,47 @@ class TestMeanBp:
         assert not out.mask("mbp_mean").any()
 
 
+def long_events(variable, values):
+    """Long-format (variable, valuenum) events, all of one variable."""
+    return make_frame(variable=("str", [variable] * len(values)),
+                      valuenum=("num", values))
+
+
 class TestPlausibility:
     def test_wbc_below_lower_masked(self):
-        f = make_frame(wbc=("num", [0.5]))
-        out, counts = apply_plausibility(f, [PlausibilityRule("wbc", 1, 50)])
-        assert out.mask("wbc").tolist() == [True]
-        assert counts["wbc"] == 1
+        out, counts = _apply_rules_long(long_events("wbc", [0.5]),
+                                        [PlausibilityRule("wbc", 1, 50)])
+        assert out.mask("valuenum").tolist() == [True]
+        assert counts == {"wbc": 1}
 
     def test_glucose_above_upper_masked(self):
-        f = make_frame(glucose=("num", [601.0]))
-        out, counts = apply_plausibility(f, [PlausibilityRule("glucose", 10, 600)])
-        assert out.mask("glucose").tolist() == [True]
+        out, counts = _apply_rules_long(long_events("glucose", [601.0]),
+                                        [PlausibilityRule("glucose", 10, 600)])
+        assert out.mask("valuenum").tolist() == [True]
+        assert counts == {"glucose": 1}
 
     def test_lactate_in_range_kept(self):
-        f = make_frame(lactate=("num", [4.0]))
-        out, counts = apply_plausibility(f, [PlausibilityRule("lactate", 0.1, 20)])
-        assert not out.mask("lactate").any()
-        assert counts["lactate"] == 0
+        out, counts = _apply_rules_long(long_events("lactate", [4.0]),
+                                        [PlausibilityRule("lactate", 0.1, 20)])
+        assert not out.mask("valuenum").any()
+        assert counts == {}  # only variables with removals are counted
 
     def test_rows_survive_masking(self):
-        f = make_frame(wbc=("num", [0.5, 12.0]))
-        out, _ = apply_plausibility(f, [PlausibilityRule("wbc", 1, 50)])
+        out, counts = _apply_rules_long(long_events("wbc", [0.5, 12.0]),
+                                        [PlausibilityRule("wbc", 1, 50)])
         assert out.n_rows == 2
+        assert out.mask("valuenum").tolist() == [True, False]
+        assert counts == {"wbc": 1}
 
     def test_every_retained_cell_satisfies_rule(self):
         rng = np.random.default_rng(2)
-        f = make_frame(wbc=("num", rng.uniform(-5, 80, 200)))
+        values = rng.uniform(-5, 80, 200)
         rule = PlausibilityRule("wbc", 1, 50)
-        out, _ = apply_plausibility(f, [rule])
-        vals, mask = out.column("wbc")
+        out, counts = _apply_rules_long(long_events("wbc", values), [rule])
+        vals, mask = out.column("valuenum")
         live = vals[~mask]
         assert np.all((live >= rule.lower) & (live <= rule.upper))
+        assert counts == {"wbc": int(((values < 1) | (values > 50)).sum())}
 
     def test_default_table_bounds_ordered(self):
         for rule in DEFAULT_PLAUSIBILITY:

@@ -154,6 +154,59 @@ class TestCvCurve:
         assert wide.lambda_min > base.lambda_min
 
 
+def reference_fold_assignments(y, n_folds, seed, keys=None):
+    """The per-row fold assignment, rows ordered by Python sorts on key tuples."""
+    y = np.asarray(y)
+    n = len(y)
+    keys = list(np.arange(n) if keys is None else keys)
+    folds = np.empty(n, dtype=int)
+    rng = np.random.default_rng(seed)
+    for cls in (0, 1):
+        idx = [i for i in range(n) if y[i] == cls]
+        idx.sort(key=lambda i: reference_key_rank(keys[i]))
+        idx = np.asarray(idx, dtype=int)
+        idx = idx[rng.permutation(idx.size)]
+        for pos, row in enumerate(idx):
+            folds[row] = pos % n_folds
+    return folds
+
+
+def reference_key_rank(key):
+    if isinstance(key, (int, np.integer, float, np.floating)):
+        return (0, float(key), "")
+    return (1, 0.0, str(key))
+
+
+def random_keys(rng, n):
+    """Integer or float keys drawn from a small range, so most repeat."""
+    if rng.uniform() < 0.5:
+        return rng.integers(-5, 6, n)
+    return rng.choice(rng.normal(0, 10, 6), n)
+
+
+class TestKeyOrderOracle:
+    def test_fold_ids_match_sorted_key_tuples(self):
+        rng = np.random.default_rng(31)
+        for case in range(300):
+            n = int(rng.integers(1, 60))
+            y = (rng.uniform(size=n) < rng.uniform(0.1, 0.9)).astype(float)
+            keys = random_keys(rng, n) if case % 10 else None  # None: by position
+            n_folds = int(rng.integers(2, 6))
+            got = fold_assignments(y, n_folds, case, keys)
+            assert got.tolist() == reference_fold_assignments(y, n_folds, case, keys).tolist()
+
+    def test_cv_deviance_solves_rows_in_sorted_key_tuple_order(self):
+        rng = np.random.default_rng(32)
+        for case in range(5):
+            X, y = draw(rng, 80, [1.0, -0.6, 0.0])
+            keys = random_keys(rng, 80)
+            order = sorted(range(80), key=lambda i: reference_key_rank(keys[i]))
+            got = cv_deviance(X, y, grid_size=6, n_folds=4, seed=case, keys=keys)
+            want = cv_deviance(X[order], y[order], grid_size=6, n_folds=4, seed=case)
+            assert got.mean_deviance.tobytes() == want.mean_deviance.tobytes()
+            assert got.se_deviance.tobytes() == want.se_deviance.tobytes()
+
+
 class TestFoldPath:
     def test_kkt_on_every_fold_down_to_lambda_min(self):
         # oracle: soft-threshold KKT conditions of each fold's own training

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -193,3 +195,15 @@ class TestStageOrdering:
             run_stage("evaluate", cfg)
         with pytest.raises(MissingArtifact):
             run_stage("features", cfg)
+
+    def test_select_reads_only_the_first_imputation(self, small_run, tmp_path):
+        # selection runs on imputed_1.csv alone; the others feed only fit
+        out = tmp_path / "out"
+        shutil.copytree(small_run.out_dir, out)
+        os.remove(out / "imputed_2.csv")
+        written = run_stage("select", dataclasses.replace(small_run, out_dir=str(out)))
+        assert written
+        for path in written:
+            name = os.path.basename(path)
+            with open(path, "rb") as got, open(os.path.join(small_run.out_dir, name), "rb") as want:
+                assert got.read() == want.read(), name
