@@ -11,16 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCohortWarning, MissingDischtime, MissingIntime
+from .errors import DuplicateCohortRow, EmptyCohortWarning, MissingDischtime, MissingIntime
 from .frame import JoinSpec, join
+
+CODE_COLUMN = "icd_code"
+AGE_COLUMN = "anchor_age"
 
 
 @dataclass(frozen=True)
 class CohortConfig:
     icd_codes: tuple
     min_age: int = 18
-    code_column: str = "icd_code"
-    age_column: str = "anchor_age"
 
     def __post_init__(self):
         if not self.icd_codes:
@@ -42,18 +43,15 @@ def _code_matches(cell, code):
 def filter_by_diagnosis(diagnoses, cfg):
     """Rows whose code matches any configured code; one row per hadm_id."""
     codes = [c.strip() for c in cfg.icd_codes]
-    vals, mask = diagnoses.column(cfg.code_column)
     # each distinct cell is matched once
-    cells, inv = np.unique(vals, return_inverse=True)
+    cells, inv = np.unique(diagnoses.values(CODE_COLUMN), return_inverse=True)
     hit = np.array([any(_code_matches(str(cell).strip(), c) for c in codes)
                     for cell in cells], dtype=bool)
-    out = diagnoses.filter(~mask & hit[inv])
+    out = diagnoses.filter(hit[inv])
 
     if out.has_column("hadm_id"):
-        hadm, hmask = out.column("hadm_id")
         # the first row of each admission; rows without one count as one admission
-        _, first = np.unique(np.where(hmask, np.nan, hadm), return_index=True,
-                             equal_nan=True)
+        _, first = np.unique(out.values("hadm_id"), return_index=True, equal_nan=True)
         out = out.take(np.sort(first))
 
     if out.n_rows == 0:
@@ -66,11 +64,11 @@ def first_icu_stay(stays):
     for col in ("subject_id", "intime"):
         if not stays.has_column(col):
             raise MissingIntime(f"stays frame lacks {col!r}")
-    sid, smask = stays.column("subject_id")
-    it, imask = stays.column("intime")
+    sid = stays.values("subject_id")
+    it = stays.values("intime")
     stid = stays.values("stay_id") if stays.has_column("stay_id") else np.arange(stays.n_rows, dtype=float)
 
-    live = np.flatnonzero(~smask & ~imask)
+    live = np.flatnonzero(~np.isnan(sid) & ~np.isnan(it))
     # by subject, then intime, then stay_id; lexsort is stable, so a full tie
     # keeps the earlier row
     rows = live[np.lexsort((stid[live], it[live], sid[live]))]
@@ -83,23 +81,21 @@ def label_mortality(admissions):
     """in_hospital_death = 1 iff deathtime exists and deathtime <= dischtime."""
     if not admissions.has_column("dischtime"):
         raise MissingDischtime("admissions frame lacks 'dischtime'")
-    disch, dmask = admissions.column("dischtime")
-    if dmask.any():
-        raise MissingDischtime(f"{int(dmask.sum())} rows have no dischtime")
+    disch = admissions.values("dischtime")
+    missing = int(np.isnan(disch).sum())
+    if missing:
+        raise MissingDischtime(f"{missing} rows have no dischtime")
     if admissions.has_column("deathtime"):
-        death, kmask = admissions.column("deathtime")
+        death = admissions.values("deathtime")
     else:
         death = np.full(admissions.n_rows, np.nan)
-        kmask = np.ones(admissions.n_rows, dtype=bool)
-    label = ((~kmask) & (death <= disch)).astype(float)
+    label = (death <= disch).astype(float)
     return admissions.with_column("in_hospital_death", "int", label)
 
 
 def apply_age_filter(frame, cfg):
-    """Keep rows with age >= min_age; a masked age cannot assert eligibility."""
-    vals, mask = frame.column(cfg.age_column)
-    keep = (~mask) & (vals >= cfg.min_age)
-    return frame.filter(keep)
+    """Keep rows with age >= min_age; a missing age cannot assert eligibility."""
+    return frame.filter(frame.values(AGE_COLUMN) >= cfg.min_age)
 
 
 def build_cohort(diagnoses, patients, icustays, admissions, cfg):
@@ -108,7 +104,7 @@ def build_cohort(diagnoses, patients, icustays, admissions, cfg):
     matched = matched.select([c for c in ("subject_id", "hadm_id") if matched.has_column(c)])
     linked = join(matched, icustays, JoinSpec(("subject_id", "hadm_id"), "inner"))
     first = first_icu_stay(linked)
-    with_age = join(first, patients.select(["subject_id", cfg.age_column]),
+    with_age = join(first, patients.select(["subject_id", AGE_COLUMN]),
                     JoinSpec(("subject_id",), "left"))
     adults = apply_age_filter(with_age, cfg)
     adm_cols = ["subject_id", "hadm_id", "dischtime"]
@@ -119,6 +115,9 @@ def build_cohort(diagnoses, patients, icustays, admissions, cfg):
     labeled = label_mortality(with_adm)
     labeled = labeled.sort_by(["subject_id"])
     sid = labeled.values("subject_id")
-    if len(set(sid.tolist())) != labeled.n_rows:
-        raise ValueError("cohort has duplicate subjects after first-stay selection")
+    repeated = np.flatnonzero(sid[1:] == sid[:-1])
+    if repeated.size:
+        hadm = labeled.values("hadm_id")[repeated[0]]
+        raise DuplicateCohortRow(f"hadm_id {hadm:.0f} gives more than one cohort row "
+                                 "(a repeated admissions or patients row)")
     return labeled

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigInvalid
 from .impute import METHODS
+from .lasso import RULES
 
 
 def stage_seed(root_seed, label):
@@ -70,7 +71,7 @@ _SCHEMA = {
     ("text", "pca_target"): ("pca_target", float, lambda v: 0.0 < v <= 1.0),
     ("lasso", "folds"): ("lasso_folds", int, lambda v: v >= 2),
     ("lasso", "grid_size"): ("lasso_grid", int, lambda v: v >= 2),
-    ("lasso", "rule"): ("lasso_rule", str, lambda v: v in ("min", "1se", "pct75")),
+    ("lasso", "rule"): ("lasso_rule", str, lambda v: v in RULES),
     ("gbt", "max_depth"): ("gbt_max_depth", int, lambda v: v >= 1),
     ("gbt", "learning_rate"): ("gbt_learning_rate", float, lambda v: 0.0 < v <= 1.0),
     ("gbt", "n_trees"): ("gbt_n_trees", int, lambda v: v >= 1),

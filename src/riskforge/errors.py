@@ -37,6 +37,10 @@ class MissingDischtime(RiskforgeError):
     pass
 
 
+class DuplicateCohortRow(RiskforgeError):
+    """A subject reaches the final cohort twice, from a repeated input row."""
+
+
 # --- harmonization ---
 
 class ComponentOutOfRange(RiskforgeError):

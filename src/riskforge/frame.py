@@ -1,17 +1,19 @@
-"""Column-oriented in-memory table with per-cell missingness tracking.
+"""Column-oriented in-memory table; a NaN is a missing number.
 
-A PatientFrame stores each column as a numpy array plus a boolean missing
-mask, so "blank" and "zero" stay distinguishable end to end. Frames are
-treated as immutable: every operation returns a new frame and shares no
-mutable state with its inputs. CSV round-trips preserve both content and
-mask (blank cell = missing).
+A PatientFrame stores each column as a numpy array: numeric columns as
+floats, where NaN marks a missing cell, so "blank" and "zero" stay
+distinguishable end to end; text columns as strings, which are never
+missing (a blank text cell is the empty string). Frames are treated as
+immutable: every operation returns a new frame and shares no mutable
+state with its inputs. On disk a missing number is a blank cell, and a
+blank numeric cell reads back as NaN, so a round trip keeps every gap.
 
 The CSV codec converts whole columns (in blocks of rows, to bound memory)
 and keeps the rules of a cell-by-cell parser. A blank cell is missing, and
 so is a numeric cell that does not parse, never zero. ``num`` cells parse as
 ``float`` does ("nan" is missing, "inf" is kept); ``int`` cells truncate
 toward zero as ``int(float(text))`` does, and non-finite ones are missing;
-``str`` cells are never missing. A numeric column converts in one
+``str`` cells are read as they stand. A numeric column converts in one
 ``np.array(cells, dtype=float)`` and, if a malformed cell makes that raise,
 cell by cell. A ``time`` column whose cells all read ``YYYY-MM-DD
 HH:MM:SS`` parses through ``datetime64[s]``; any other goes cell by cell
@@ -69,10 +71,10 @@ class JoinSpec:
 
 
 class PatientFrame:
-    def __init__(self, names, kinds, columns, masks):
-        if not (len(names) == len(kinds) == len(columns) == len(masks)):
+    def __init__(self, names, kinds, columns):
+        if not (len(names) == len(kinds) == len(columns)):
             raise ValueError("frame arrays out of step")
-        lengths = {len(c) for c in columns} | {len(m) for m in masks}
+        lengths = {len(c) for c in columns}
         if len(lengths) > 1:
             raise ValueError(f"ragged columns: lengths {sorted(lengths)}")
         if len(set(names)) != len(names):
@@ -83,7 +85,6 @@ class PatientFrame:
         self._names = list(names)
         self._kinds = list(kinds)
         self._columns = [np.asarray(c) for c in columns]
-        self._masks = [np.asarray(m, dtype=bool) for m in masks]
         self._index = {n: i for i, n in enumerate(self._names)}
 
     # --- introspection ---
@@ -106,19 +107,18 @@ class PatientFrame:
     def kind(self, name):
         return self._kinds[self._col(name)]
 
-    def column(self, name):
-        """Return (values, missing_mask); arrays are copies."""
-        i = self._col(name)
-        return self._columns[i].copy(), self._masks[i].copy()
-
     def values(self, name):
         return self._columns[self._col(name)].copy()
 
     def mask(self, name):
-        return self._masks[self._col(name)].copy()
+        """Missing cells of a column: its NaNs; a text cell is never missing."""
+        i = self._col(name)
+        if self._kinds[i] == "str":
+            return np.zeros(self.n_rows, dtype=bool)
+        return np.isnan(self._columns[i])
 
     def matrix(self, names):
-        """The named columns as one rows x names float array; masked cells are NaN."""
+        """The named columns as one rows x names float array; missing cells are NaN."""
         cols = [self._columns[self._col(n)].astype(float) for n in names]
         return np.column_stack(cols) if cols else np.zeros((self.n_rows, 0))
 
@@ -128,49 +128,31 @@ class PatientFrame:
         except KeyError:
             raise MissingColumn(name) from None
 
-    def row_keys(self):
-        """(subject_id, hadm_id, stay_id-or-None) tuples for present key columns."""
-        return list(zip(*[
-            self._columns[self._index[k]].astype(int).tolist() if k in self._index
-            else [None] * self.n_rows for k in ("subject_id", "hadm_id", "stay_id")]))
-
     # --- constructors ---
 
     @classmethod
     def from_columns(cls, spec):
-        """Build from [(name, kind, values, mask-or-None), ...].
+        """Build from [(name, kind, values), ...].
 
-        Numeric values may contain NaN, which is folded into the mask.
+        Numeric values are floats, NaN where a cell is missing; text values
+        are strings, with None read as "".
         """
-        names, kinds, cols, masks = [], [], [], []
-        for entry in spec:
-            name, kind, values = entry[0], entry[1], entry[2]
-            mask = entry[3] if len(entry) > 3 else None
+        names, kinds, cols = [], [], []
+        for name, kind, values in spec:
             if kind in NUMERIC_KINDS:
-                arr = np.asarray(values, dtype=float).copy()
-                m = np.zeros(len(arr), dtype=bool) if mask is None else np.asarray(mask, dtype=bool).copy()
-                m |= np.isnan(arr)
-                arr[m] = np.nan
+                arr = np.array(values, dtype=float)
             else:
                 arr = np.array(["" if v is None else str(v) for v in values], dtype=object)
-                m = np.zeros(len(arr), dtype=bool) if mask is None else np.asarray(mask, dtype=bool).copy()
-                arr[m] = ""
             names.append(name)
             kinds.append(kind)
             cols.append(arr)
-            masks.append(m)
-        return cls(names, kinds, cols, masks)
+        return cls(names, kinds, cols)
 
     # --- derived frames ---
 
     def take(self, row_idx):
         idx = np.asarray(row_idx, dtype=int)
-        return PatientFrame(
-            self._names,
-            self._kinds,
-            [c[idx] for c in self._columns],
-            [m[idx] for m in self._masks],
-        )
+        return PatientFrame(self._names, self._kinds, [c[idx] for c in self._columns])
 
     def filter(self, keep):
         keep = np.asarray(keep, dtype=bool)
@@ -182,53 +164,42 @@ class PatientFrame:
             [self._names[i] for i in idx],
             [self._kinds[i] for i in idx],
             [self._columns[i].copy() for i in idx],
-            [self._masks[i].copy() for i in idx],
         )
 
     def drop(self, names):
         gone = set(names)
         return self.select([n for n in self._names if n not in gone])
 
-    def with_column(self, name, kind, values, mask=None):
+    def with_column(self, name, kind, values):
         """New frame with a column appended (or replaced in place)."""
-        added = PatientFrame.from_columns([(name, kind, values, mask)])
+        added = PatientFrame.from_columns([(name, kind, values)])
         if added.n_rows != self.n_rows and self.n_cols > 0:
             raise ValueError("column length does not match frame")
         names, kinds = list(self._names), list(self._kinds)
         cols = [c.copy() for c in self._columns]
-        masks = [m.copy() for m in self._masks]
         if name in self._index:
             i = self._index[name]
             kinds[i] = kind
             cols[i] = added._columns[0]
-            masks[i] = added._masks[0]
         else:
             names.append(name)
             kinds.append(kind)
             cols.append(added._columns[0])
-            masks.append(added._masks[0])
-        return PatientFrame(names, kinds, cols, masks)
+        return PatientFrame(names, kinds, cols)
 
     def rename(self, mapping):
-        return PatientFrame(
-            [mapping.get(n, n) for n in self._names],
-            self._kinds,
-            [c.copy() for c in self._columns],
-            [m.copy() for m in self._masks],
-        )
+        return PatientFrame([mapping.get(n, n) for n in self._names], self._kinds,
+                            [c.copy() for c in self._columns])
 
     def sort_by(self, names):
-        """Stable ascending sort; masked cells order last within each level."""
+        """Stable ascending sort; missing cells order last within each level."""
         order = np.arange(self.n_rows)
         for name in reversed(names):
             i = self._col(name)
-            col, m = self._columns[i], self._masks[i]
-            if self._kinds[i] == "str":
-                order = order[np.argsort(col[order], kind="stable")]
-                order = order[np.argsort(m[order], kind="stable")]
-            else:
-                vals = np.where(m[order], np.inf, np.nan_to_num(col[order], nan=np.inf))
-                order = order[np.argsort(vals, kind="stable")]
+            col = self._columns[i][order]
+            if self._kinds[i] != "str":
+                col = np.nan_to_num(col, nan=np.inf)
+            order = order[np.argsort(col, kind="stable")]
         return self.take(order)
 
     def equals(self, other):
@@ -236,13 +207,8 @@ class PatientFrame:
             return False
         if self.n_rows != other.n_rows:
             return False
-        for i in range(self.n_cols):
-            if not np.array_equal(self._masks[i], other._masks[i]):
-                return False
-            live = ~self._masks[i]
-            if not np.array_equal(self._columns[i][live], other._columns[i][live]):
-                return False
-        return True
+        return all(np.array_equal(a, b, equal_nan=k != "str")
+                   for a, b, k in zip(self._columns, other._columns, self._kinds))
 
 
 # --- CSV round trip ---
@@ -256,9 +222,9 @@ def _or_nan(parse, text):
 
 
 def _parse_column(cells, kind):
-    """One column of cell strings -> (values, missing mask)."""
+    """One column of cell strings -> its values."""
     if kind == "str":
-        return np.array(cells, dtype=object), np.zeros(len(cells), dtype=bool)
+        return np.array(cells, dtype=object)
     try:
         if kind != "time":
             text = np.array(cells, dtype=object)
@@ -275,7 +241,7 @@ def _parse_column(cells, kind):
     if kind == "int":
         vals[~np.isfinite(vals)] = np.nan
         vals = np.trunc(vals) + 0.0  # +0.0: int(-0.5) is 0, not -0
-    return vals, np.isnan(vals)
+    return vals
 
 
 def read_header(path):
@@ -332,9 +298,8 @@ def read_csv(path, schema):
     finally:
         if collecting:
             gc.enable()
-    columns = [np.concatenate([b[c][0] for b in blocks]) for c in range(len(schema))]
-    masks = [np.concatenate([b[c][1] for b in blocks]) for c in range(len(schema))]
-    return PatientFrame([n for n, _ in schema], [k for _, k in schema], columns, masks)
+    columns = [np.concatenate([b[c] for b in blocks]) for c in range(len(schema))]
+    return PatientFrame([n for n, _ in schema], [k for _, k in schema], columns)
 
 
 def _format_times(seconds):
@@ -348,19 +313,19 @@ def _format_times(seconds):
     return np.char.replace(np.datetime_as_string(stamps, unit="s"), "T", " ")
 
 
-def _format_column(values, mask, kind):
-    """One column -> object array of cell strings, blank where masked."""
+def _format_column(values, kind):
+    """One column -> object array of cell strings, blank where missing."""
     if kind == "str":
-        cells = values.astype(object)
+        return values.astype(object)
+    missing = np.isnan(values)
+    live = np.where(missing, 0.0, values)
+    if kind == "num":
+        cells = np.array(list(map(repr, live.tolist())), dtype=object)
+    elif kind == "int":
+        cells = np.array(list(map(str, map(round, live.tolist()))), dtype=object)
     else:
-        live = np.where(mask, 0.0, values)
-        if kind == "num":
-            cells = np.array(list(map(repr, live.tolist())), dtype=object)
-        elif kind == "int":
-            cells = np.array(list(map(str, map(round, live.tolist()))), dtype=object)
-        else:
-            cells = _format_times(live).astype(object)
-    cells[mask] = ""
+        cells = _format_times(live).astype(object)
+    cells[missing] = ""
     return cells
 
 
@@ -372,9 +337,8 @@ def write_csv(frame, path):
             block_rows = _block_rows(frame.n_cols)
             for start in range(0, frame.n_rows, block_rows):
                 rows = slice(start, start + block_rows)
-                writer.writerows(zip(*[
-                    _format_column(c[rows], m[rows], k)
-                    for c, m, k in zip(frame._columns, frame._masks, frame._kinds)]))
+                writer.writerows(zip(*[_format_column(c[rows], k)
+                                       for c, k in zip(frame._columns, frame._kinds)]))
     except OSError as exc:
         raise IoFailure(f"{path}: {exc}") from exc
 
@@ -396,10 +360,10 @@ def index_of(keys, wanted):
 
 def _key_codes(left, right, keys):
     """One integer per row of ``left`` then ``right``; two rows share a code
-    iff every key is equal. A row with a masked key gets -1."""
+    iff every key is equal. A row with a missing key gets -1."""
     n_left, n = left.n_rows, left.n_rows + right.n_rows
     codes = np.zeros(n, dtype=np.int64)
-    masked = np.zeros(n, dtype=bool)
+    missing = np.zeros(n, dtype=bool)
     for k in keys:
         li, ri = left._col(k), right._col(k)
         if (left._kinds[li] == "str") != (right._kinds[ri] == "str"):
@@ -407,11 +371,11 @@ def _key_codes(left, right, keys):
             vals = np.arange(n) >= n_left
         else:
             vals = np.concatenate([left._columns[li], right._columns[ri]])
-        masked |= np.concatenate([left._masks[li], right._masks[ri]])
+        missing |= np.concatenate([left.mask(k), right.mask(k)])
         _, inv = np.unique(vals, return_inverse=True)
         _, codes = np.unique(codes * (int(inv.max(initial=0)) + 1) + inv,
                              return_inverse=True)
-    codes[masked] = -1
+    codes[missing] = -1
     return codes
 
 
@@ -420,10 +384,10 @@ def join(left, right, spec):
 
     Output rows follow the left rows in order, each left row followed by its
     matching right rows in right-row order. Inner join drops unmatched left
-    rows; left join keeps them with every right-side cell masked. Right key
-    columns are dropped (values equal the left's by construction); other
-    right columns colliding with a left name get a ``_r`` suffix. Rows with a
-    masked key never match.
+    rows; left join keeps them with every right-side cell missing: NaN in a
+    numeric column, "" in a text one. Right key columns are dropped (values
+    equal the left's by construction); other right columns colliding with a
+    left name get a ``_r`` suffix. Rows with a missing key never match.
     """
     for k in spec.keys:
         if not left.has_column(k):
@@ -448,7 +412,6 @@ def join(left, right, spec):
     names = list(left._names)
     kinds = list(left._kinds)
     cols = [c[left_rows] for c in left._columns]
-    masks = [m[left_rows] for m in left._masks]
 
     taken = set(names)
     for i, rname in enumerate(right._names):
@@ -459,13 +422,10 @@ def join(left, right, spec):
             out_name = out_name + "_r"
         taken.add(out_name)
         blank = "" if right._kinds[i] == "str" else np.nan
-        vals = np.append(right._columns[i], blank)[right_rows]
-        mask = np.append(right._masks[i], True)[right_rows]
         names.append(out_name)
         kinds.append(right._kinds[i])
-        cols.append(vals)
-        masks.append(mask)
-    return PatientFrame(names, kinds, cols, masks)
+        cols.append(np.append(right._columns[i], blank)[right_rows])
+    return PatientFrame(names, kinds, cols)
 
 
 # --- grouped statistics ---
@@ -474,11 +434,11 @@ STAT_FUNCS = ("mean", "min", "max")
 
 
 def aggregate_by_key(frame, key, stats, columns=None):
-    """One output row per key value; masked cells never enter a statistic.
+    """One output row per key value; missing cells never enter a statistic.
 
-    ``columns`` defaults to every 'num' column except the key. A group with
-    all cells masked yields a masked statistic. Group order follows first
-    appearance in the input.
+    ``columns`` defaults to every 'num' column except the key. Rows with a
+    missing key are dropped. A group with all cells missing yields a missing
+    statistic. Group order follows first appearance in the input.
     """
     for s in stats:
         if s not in STAT_FUNCS:
@@ -490,7 +450,7 @@ def aggregate_by_key(frame, key, stats, columns=None):
         if frame.kind(name) not in ("num", "int", "time"):
             raise NonNumericColumn(name)
 
-    live = np.flatnonzero(~frame._masks[ki])
+    live = np.flatnonzero(~frame.mask(key))
     _, first, inv = np.unique(frame._columns[ki][live], return_index=True,
                               return_inverse=True)
     n_groups = len(first)
@@ -500,12 +460,11 @@ def aggregate_by_key(frame, key, stats, columns=None):
     by_group = np.argsort(group, kind="stable")  # each group's rows stay in row order
     rows, group = live[by_group], group[by_group]
 
-    out = [(key, frame._kinds[ki], frame._columns[ki][live[np.sort(first)]],
-            np.zeros(n_groups, dtype=bool))]
+    out = [(key, frame._kinds[ki], frame._columns[ki][live[np.sort(first)]])]
     for name in columns:
-        ci = frame._col(name)
-        ok = ~frame._masks[ci][rows]
-        vals, g = frame._columns[ci][rows][ok].astype(float), group[ok]
+        vals = frame._columns[frame._col(name)][rows].astype(float)
+        ok = ~np.isnan(vals)
+        vals, g = vals[ok], group[ok]
         counts = np.bincount(g, minlength=n_groups)
         starts = np.cumsum(counts) - counts
         has = counts > 0
@@ -516,7 +475,7 @@ def aggregate_by_key(frame, key, stats, columns=None):
             elif has.any():
                 ufunc = np.minimum if stat == "min" else np.maximum
                 res[has] = ufunc.reduceat(vals, starts[has])
-            out.append((f"{name}_{stat}", "num", res, ~has))
+            out.append((f"{name}_{stat}", "num", res))
     return PatientFrame.from_columns(out)
 
 

@@ -138,10 +138,10 @@ def window_24h(events, stays, *, key="stay_id", time_column="charttime"):
     (frame, dropped_unlinked_count).
     """
     linked = join(events, stays.select([key, "intime"]), JoinSpec((key,), "left"))
-    it, imask = linked.column("intime")
-    ct, cmask = linked.column(time_column)
-    unlinked = int(imask.sum())
-    ok = (~imask) & (~cmask) & (ct >= it) & (ct < it + WINDOW_SECONDS)
+    it = linked.values("intime")
+    ct = linked.values(time_column)
+    unlinked = int(np.isnan(it).sum())
+    ok = (ct >= it) & (ct < it + WINDOW_SECONDS)
     return linked.filter(ok).drop(["intime"]), unlinked
 
 
@@ -168,11 +168,9 @@ def _item_names(itemids, table):
 
 def _events_to_variables(chartevents):
     """Map itemids to harmonized names; align temperature to Fahrenheit."""
-    item, imask = chartevents.column("itemid")
-    val, vmask = chartevents.column("valuenum")
-    keep = ~imask & ~vmask
-    names = _item_names(item, {**VITAL_ITEMS, **GCS_ITEMS})
-    keep &= names != ""
+    val = chartevents.values("valuenum")
+    names = _item_names(chartevents.values("itemid"), {**VITAL_ITEMS, **GCS_ITEMS})
+    keep = ~np.isnan(val) & (names != "")
     celsius = names == "bt_c"
     bt = np.flatnonzero(names == "bt")
     if chartevents.has_column("valueuom"):
@@ -189,7 +187,7 @@ def _events_to_variables(chartevents):
     out_vals[celsius] = convert_temperature(val[celsius], "C")
     out = chartevents.filter(keep)
     out = out.with_column("variable", "str", names[keep])
-    return out.with_column("valuenum", "num", out_vals[keep], vmask[keep])
+    return out.with_column("valuenum", "num", out_vals[keep])
 
 
 def _pool_duplicate_measurements(events, key):
@@ -217,28 +215,24 @@ def aggregate_variables(events, key, variables, stats=("mean", "min", "max")):
     """Per-key mean/min/max of each long-format variable; wide output frame.
 
     Keys ascend. One group-by over the key-sorted events, with one column per
-    variable that masks every other variable's rows.
+    variable that is NaN on every other variable's rows.
     """
     events = events.sort_by([key])
     var = events.values("variable")
-    vals, mask = events.column("valuenum")
+    vals = events.values("valuenum")
     wide = [(key, "int", events.values(key))]
-    wide += [(name, "num", vals, mask | (var != name)) for name in variables]
+    wide += [(name, "num", np.where(var == name, vals, np.nan)) for name in variables]
     return aggregate_by_key(PatientFrame.from_columns(wide), key, list(stats),
                             columns=list(variables))
 
 
 def derive_mbp(frame):
-    """Fill masked MBP aggregates from SBP/DBP via the standard formula."""
+    """Fill missing MBP aggregates from SBP/DBP via the standard formula."""
     out = frame
     for stat in ("mean", "min", "max"):
-        mcol, mmask = out.column(f"mbp_{stat}")
-        s, smask = out.column(f"sbp_{stat}")
-        d, dmask = out.column(f"dbp_{stat}")
-        fill = mmask & (~smask) & (~dmask)
-        if fill.any():
-            mcol[fill] = mean_bp(s[fill], d[fill])
-            out = out.with_column(f"mbp_{stat}", "num", mcol, mmask & ~fill)
+        mbp = out.values(f"mbp_{stat}")
+        derived = mean_bp(out.values(f"sbp_{stat}"), out.values(f"dbp_{stat}"))
+        out = out.with_column(f"mbp_{stat}", "num", np.where(np.isnan(mbp), derived, mbp))
     return out
 
 
@@ -247,12 +241,10 @@ def binary_flags(diagnoses, proc_events, input_events, cohort):
     n = cohort.n_rows
     flags = {name: np.zeros(n) for name in FLAG_NAMES}
 
-    dh, dhmask = diagnoses.column("hadm_id")
-    dc, dcmask = diagnoses.column("icd_code")
-    row = index_of(cohort.values("hadm_id"), dh)
-    ok = ~dhmask & ~dcmask & (row >= 0)
+    row = index_of(cohort.values("hadm_id"), diagnoses.values("hadm_id"))
+    ok = row >= 0
     # each distinct code is matched once
-    codes, inv = np.unique(dc[ok], return_inverse=True)
+    codes, inv = np.unique(diagnoses.values("icd_code")[ok], return_inverse=True)
     for name, prefixes in COMORBIDITY_CODES.items():
         hit = np.array([str(c).strip().startswith(prefixes) for c in codes], dtype=bool)
         flags[name][row[ok][hit[inv]]] = 1.0
@@ -260,19 +252,16 @@ def binary_flags(diagnoses, proc_events, input_events, cohort):
     def mark(events, item_sets):
         if events is None or events.n_rows == 0:
             return
-        sv, smask = events.column("stay_id")
-        iv, imask = events.column("itemid")
-        row = index_of(cohort.values("stay_id"), sv)
-        ok = ~smask & ~imask & (row >= 0)
+        row = index_of(cohort.values("stay_id"), events.values("stay_id"))
+        item = events.values("itemid")
         for name, items in item_sets:
-            flags[name][row[ok & np.isin(iv, list(items))]] = 1.0
+            flags[name][row[(row >= 0) & np.isin(item, list(items))]] = 1.0
 
     mark(proc_events, [("received_ventilation", VENTILATION_ITEMS)])
     mark(input_events, [("epinephrine", EPINEPHRINE_ITEMS), ("dopamine", DOPAMINE_ITEMS)])
 
-    stay, smask = cohort.column("stay_id")
     return PatientFrame.from_columns(
-        [("stay_id", cohort.kind("stay_id"), stay, smask)]
+        [("stay_id", cohort.kind("stay_id"), cohort.values("stay_id"))]
         + [(name, "int", flags[name]) for name in FLAG_NAMES])
 
 
@@ -313,15 +302,12 @@ def build_structured_features(chartevents, labevents, diagnoses, proc_events,
     out = join(out, lab_agg, JoinSpec(("hadm_id",), "left"))
     out = join(out, flags, JoinSpec(("stay_id",), "left"))
 
-    eye, eyem = out.column("gcs_eye_mean")
-    ver, verm = out.column("gcs_verbal_mean")
-    mot, motm = out.column("gcs_motor_mean")
-    any_missing = eyem | verm | motm
+    parts = out.matrix(["gcs_eye_mean", "gcs_verbal_mean", "gcs_motor_mean"])
+    live = ~np.isnan(parts).any(axis=1)
     total = np.full(out.n_rows, np.nan)
-    live = ~any_missing
     if live.any():
-        total[live] = gcs_total(eye[live], ver[live], mot[live])
-    out = out.with_column("gcs_total", "num", total, any_missing)
+        total[live] = gcs_total(*parts[live].T)
+    out = out.with_column("gcs_total", "num", total)
     drop = [f"{g}_{s}" for g in GCS_NAMES for s in ("min", "max")]
     out = out.drop(drop)
     return out, report
@@ -334,10 +320,11 @@ def _apply_rules_long(events, rules):
     rule = [by_var.get(str(v)) for v in variables]
     lower = np.array([np.nan if r is None else r.lower for r in rule], dtype=float)[var]
     upper = np.array([np.nan if r is None else r.upper for r in rule], dtype=float)[var]
-    vals, mask = events.column("valuenum")
-    newly = ~mask & ((vals < lower) | (vals > upper))
+    vals = events.values("valuenum")
+    newly = (vals < lower) | (vals > upper)
     removed = np.bincount(var[newly], minlength=len(variables))
     counts = {str(v): int(c) for v, c in zip(variables, removed) if c}
     if newly.any():
-        events = events.with_column("valuenum", "num", vals, mask | newly)
+        vals[newly] = np.nan
+        events = events.with_column("valuenum", "num", vals)
     return events, counts

@@ -82,24 +82,24 @@ def default_policies(columns, overrides=None):
 
 
 def impute_single(frame, policies):
-    """Fill masked cells under mean/median/zero policies; others untouched."""
+    """Fill missing cells under mean/median/zero policies; others untouched."""
     out = frame
     for pol in policies:
         if pol.method in ("mice", "none"):
             continue
-        vals, mask = out.column(pol.variable)
-        if not mask.any():
+        vals = out.values(pol.variable)
+        missing = np.isnan(vals)
+        if not missing.any():
             continue
-        obs = vals[~mask]
+        obs = vals[~missing]
         if pol.method == "zero":
             fill = 0.0
         else:
             if obs.size == 0:
                 raise AllMissingColumn(pol.variable)
             fill = float(obs.mean()) if pol.method == "mean" else float(np.median(obs))
-        vals[mask] = fill
-        out = out.with_column(pol.variable, out.kind(pol.variable), vals,
-                              np.zeros(len(vals), dtype=bool))
+        vals[missing] = fill
+        out = out.with_column(pol.variable, out.kind(pol.variable), vals)
     return out
 
 
@@ -151,7 +151,7 @@ def _ridge_sweep(work, mask, targets, penalty, rng):
 def mice_impute(frame, cfg, columns=None):
     """m completed frames from chained ridge regressions.
 
-    Masked cells start at column means; each sweep regresses every
+    Missing cells start at column means; each sweep regresses every
     incomplete column on all others over its originally-observed rows and
     redraws the missing entries as prediction + Gaussian residual noise.
     Chain k uses seed ``cfg.seed + k``, so results are reproducible and the
@@ -162,7 +162,7 @@ def mice_impute(frame, cfg, columns=None):
     if len(columns) < 2:
         raise ValueError("chained imputation needs >= 2 numeric columns")
     X = frame.matrix(columns)
-    M = np.column_stack([frame.mask(n) for n in columns])
+    M = np.isnan(X)
 
     targets = [j for j in range(X.shape[1]) if M[:, j].any()]
     for j in targets:
@@ -186,8 +186,7 @@ def mice_impute(frame, cfg, columns=None):
         out = frame
         for idx, name in enumerate(columns):
             if idx in targets:
-                out = out.with_column(name, "num", work[:, idx],
-                                      np.zeros(len(work), dtype=bool))
+                out = out.with_column(name, "num", work[:, idx])
         completed.append(out)
     return completed
 

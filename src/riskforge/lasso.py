@@ -21,6 +21,7 @@ from .errors import DegenerateFold, NonConvergence
 MAX_ITER = 100_000
 CV_MAX_ITER = 1000
 CV_COEF_CAP = 30.0
+RULES = ("min", "1se", "pct75")
 
 
 @dataclass

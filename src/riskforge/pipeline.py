@@ -225,33 +225,30 @@ def run_text(cfg):
     coverage_rows = []
     outs = []
 
-    for kind, prefix in (("discharge", "disch_tfidf_svd"), ("radiology", "radio_tfidf_svd")):
-        notes = _read_input(cfg, kind, "text")
-        records, coverage = text_mod.select_notes(notes, cohort, kind)
-        coverage_rows.append((kind, coverage.covered, coverage.total, str(coverage)))
-        docs = [text_mod.normalize_text(r.text) for r in records]
-        model = text_mod.fit_tfidf(docs, cfg.vocab_size)
-        matrix = text_mod.corpus_matrix(model, docs)
-        basis = text_mod.fit_reduced_basis(matrix, "svd", cfg.svd_target)
-        reduced = basis.transform(matrix)
-        blocks[prefix] = ({r.hadm_id: reduced[i] for i, r in enumerate(records)},
-                          basis.retained)
+    for prefix, source, kind in text_mod.TEXT_BLOCKS:
+        if source == "tfidf":
+            notes = _read_input(cfg, kind, "text")
+            records, coverage = text_mod.select_notes(notes, cohort, kind)
+            coverage_rows.append((kind, coverage.covered, coverage.total, str(coverage)))
+            docs = [text_mod.normalize_text(r.text) for r in records]
+            model = text_mod.fit_tfidf(docs, cfg.vocab_size)
+            hadms = [r.hadm_id for r in records]
+            matrix = text_mod.corpus_matrix(model, docs)
+            method, target = "svd", cfg.svd_target
+        else:
+            emb_path = _need(os.path.join(cfg.data_dir, f"{kind}_emb.csv"), "text")
+            vectors, dim = text_mod.read_embeddings(emb_path)
+            hadms = sorted(vectors)
+            matrix = np.vstack([vectors[h] for h in hadms]) if hadms else np.zeros((0, dim))
+            method, target = "pca", cfg.pca_target
+        basis = text_mod.fit_reduced_basis(matrix, method, target)
+        blocks[prefix] = (dict(zip(hadms, basis.transform(matrix))), basis.retained)
         outs.append(_atomic(cfg, f"{prefix}.basis.csv",
                             lambda tmp: text_mod.save_basis(basis, tmp)))
-        outs.append(_save(cfg, f"{kind}_tfidf_vocab.csv", [
-            ("term", "str", model.vocabulary), ("df", "int", model.df),
-            ("idf", "num", model.idf)]))
-
-    for kind, prefix in (("discharge", "discharge_bert_pca"), ("radiology", "radiology_bert_pca")):
-        emb_path = _need(os.path.join(cfg.data_dir, f"{kind}_emb.csv"), "text")
-        vectors, dim = text_mod.read_embeddings(emb_path)
-        hadms = sorted(vectors)
-        matrix = np.vstack([vectors[h] for h in hadms]) if hadms else np.zeros((0, dim))
-        basis = text_mod.fit_reduced_basis(matrix, "pca", cfg.pca_target)
-        reduced = basis.transform(matrix)
-        blocks[prefix] = ({h: reduced[i] for i, h in enumerate(hadms)}, basis.retained)
-        outs.append(_atomic(cfg, f"{prefix}.basis.csv",
-                            lambda tmp: text_mod.save_basis(basis, tmp)))
+        if source == "tfidf":
+            outs.append(_save(cfg, f"{kind}_tfidf_vocab.csv", [
+                ("term", "str", model.vocabulary), ("df", "int", model.df),
+                ("idf", "num", model.idf)]))
 
     return [
         _save(cfg, "text_features.csv", text_mod.apply_text_block(cohort, blocks)),

@@ -290,7 +290,8 @@ def simulate(cfg):
 
 
 def features_frame(sim):
-    """The structured feature frame the pipeline would produce, with MCAR masks."""
+    """The structured feature frame the pipeline would produce, NaN where a
+    variable is missing (completely at random)."""
     n = len(sim.y)
     cols = [
         ("subject_id", "int", sim.subject_id.astype(float)),
@@ -308,10 +309,10 @@ def features_frame(sim):
         for stat in stats:
             vals = sim.features[f"{name}_{stat}"].copy()
             vals[m] = np.nan
-            cols.append((f"{name}_{stat}", "num", vals, m.copy()))
+            cols.append((f"{name}_{stat}", "num", vals))
     total = sim.features["gcs_total"].copy()
     total[gcs_missing] = np.nan
-    cols.append(("gcs_total", "num", total, gcs_missing.copy()))
+    cols.append(("gcs_total", "num", total))
     for name in sim.flags:
         cols.append((name, "int", sim.flags[name]))
     return PatientFrame.from_columns(cols)

@@ -66,10 +66,10 @@ def select_notes(notes, cohort, kind):
     wins. Returns (records sorted by hadm_id, CoverageReport).
     """
     cohort_hadm = np.unique(cohort.values("hadm_id").astype(int))
-    hadm, hmask = notes.column("hadm_id")
-    ct, cmask = notes.column("charttime")
-    t = np.where(cmask, np.inf, ct)
-    live = np.flatnonzero(~hmask & np.isin(hadm, cohort_hadm))
+    hadm = notes.values("hadm_id")
+    ct = notes.values("charttime")
+    t = np.where(np.isnan(ct), np.inf, ct)
+    live = np.flatnonzero(np.isin(hadm, cohort_hadm))
     rows = live[np.lexsort((t[live], hadm[live]))]  # stable: ties keep row order
     first = np.ones(len(rows), dtype=bool)
     first[1:] = hadm[rows][1:] != hadm[rows][:-1]
@@ -203,8 +203,8 @@ def apply_text_block(cohort, blocks):
     Missing-note zero vectors live in the reduced space, so they project to
     exactly zero regardless of centering. Adds the ``INDICATORS`` columns.
     """
-    hadm, hmask = cohort.column("hadm_id")
-    spec = [("hadm_id", cohort.kind("hadm_id"), hadm, hmask)]
+    hadm = cohort.values("hadm_id")
+    spec = [("hadm_id", cohort.kind("hadm_id"), hadm)]
     presence = {modality: np.zeros(len(hadm)) for modality in INDICATORS}
     for prefix, _, modality in TEXT_BLOCKS:
         if prefix not in blocks:
@@ -254,9 +254,9 @@ def read_embeddings(path):
     if header[:1] != ["hadm_id"]:
         raise IoFailure(f"{path}: first column must be hadm_id, not {header[:1]}")
     frame = read_csv(path, [("hadm_id", "int")] + [(h, "num") for h in header[1:]])
-    hadm, hmask = frame.column("hadm_id")
+    hadm = frame.values("hadm_id")
     mat = frame.matrix(header[1:])
-    bad = hmask | np.isnan(mat).any(axis=1)
+    bad = np.isnan(hadm) | np.isnan(mat).any(axis=1)
     if bad.any():
         raise IoFailure(f"{path}: blank or non-numeric cell on data row "
                         f"{int(np.flatnonzero(bad)[0]) + 1}")

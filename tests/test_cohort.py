@@ -142,8 +142,7 @@ def test_build_cohort_composition():
     # subject 1 keeps the earlier of its two stays
     assert cohort.values("stay_id").tolist() == [12.0, 21.0]
     assert cohort.values("in_hospital_death").tolist() == [1.0, 0.0]
-    keys = cohort.row_keys()
-    assert len({k[0] for k in keys}) == cohort.n_rows
+    assert len(set(cohort.values("subject_id").tolist())) == cohort.n_rows
 
 
 def test_build_cohort_is_input_order_insensitive():

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -236,3 +237,20 @@ class TestMalformedInputs:
         rc, err = self.run_text(tmp_path, capsys)
         assert rc == 1
         assert err.count("\n") == 1 and "discharge_emb.csv" in err
+
+    def test_repeated_admission_row_exits_1(self, tmp_path, capsys):
+        cfg = TestCli().cfg_file(tmp_path)
+        assert main(["synth", "--config", str(cfg)]) == 0
+        assert main(["cohort", "--config", str(cfg)]) == 0
+        with open(tmp_path / "out" / "cohort.csv", newline="") as fh:
+            hadm = next(csv.DictReader(fh))["hadm_id"]
+        adm = tmp_path / "data" / "admissions.csv"
+        lines = adm.read_text().splitlines(keepends=True)
+        position = lines[0].rstrip("\n").split(",").index("hadm_id")
+        repeated = [line for line in lines[1:] if line.split(",")[position] == hadm]
+        adm.write_text("".join(lines + repeated))
+        capsys.readouterr()
+        rc = main(["cohort", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and f"hadm_id {hadm} " in err

@@ -11,10 +11,16 @@ from riskforge.frame import (JoinSpec, PatientFrame, _block_rows, aggregate_by_k
                              parse_time, format_time, read_csv, write_csv)
 
 
+def nan_where(missing, values):
+    """Numeric values with NaN, the missing value, where ``missing`` is set."""
+    return np.where(missing, np.nan, np.asarray(values, dtype=float))
+
+
 def make_frame(**cols):
+    """Frame from name=(kind, values[, missing]); missing numbers become NaN."""
     spec = []
-    for name, (kind, values, *mask) in cols.items():
-        spec.append((name, kind, values, mask[0] if mask else None))
+    for name, (kind, values, *missing) in cols.items():
+        spec.append((name, kind, nan_where(missing[0], values) if missing else values))
     return PatientFrame.from_columns(spec)
 
 
@@ -267,7 +273,7 @@ def write_cells(path, columns):
 
 
 def assert_matches_reference(frame, name, kind, cells):
-    vals, mask = frame.column(name)
+    vals, mask = frame.values(name), frame.mask(name)
     expected = [reference_cell(c, kind) for c in cells]
     assert mask.tolist() == [m for _, m in expected], (name, cells)
     for cell, v, m, (ev, em) in zip(cells, vals, mask, expected):
@@ -375,8 +381,7 @@ class TestWriteCsvOracle:
         }
         masks = {name: np.array(draw(st.booleans()), dtype=bool) for name in columns}
         frame = PatientFrame.from_columns([
-            (name, kind, np.array(vals, dtype=float) if kind != "str" else vals,
-             masks[name] if kind != "str" else None)
+            (name, kind, nan_where(masks[name], vals) if kind != "str" else vals)
             for name, (kind, vals) in columns.items()])
         path = tmp_path_factory.mktemp("fmt") / "x.csv"
         write_csv(frame, path)
@@ -405,7 +410,8 @@ class TestWriteCsvOracle:
             mask = rng.uniform(size=n) < 0.1 if kind != "str" else np.zeros(n, dtype=bool)
             columns[f"{kind}{j}"] = (kind, draw[kind](), mask)
         frame = PatientFrame.from_columns([
-            (name, kind, vals, mask) for name, (kind, vals, mask) in columns.items()])
+            (name, kind, vals if kind == "str" else nan_where(mask, vals))
+            for name, (kind, vals, mask) in columns.items()])
         write_csv(frame, tmp_path / "wide.csv")
         with open(tmp_path / "wide.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -423,10 +429,9 @@ def test_read_of_write_equals_original(tmp_path_factory, data):
     draw = lambda strat: data.draw(st.lists(strat, min_size=n, max_size=n))  # noqa: E731
     mask = lambda: np.array(draw(st.booleans()), dtype=bool)  # noqa: E731
     frame = PatientFrame.from_columns([
-        ("k", "int", np.array(draw(st.integers(-10 ** 12, 10 ** 12)), dtype=float), mask()),
-        ("v", "num", np.array(draw(st.floats(allow_nan=False)), dtype=float), mask()),
-        ("t", "time", np.array(draw(st.integers(-30_000_000_000, 200_000_000_000)),
-                               dtype=float), mask()),
+        ("k", "int", nan_where(mask(), draw(st.integers(-10 ** 12, 10 ** 12)))),
+        ("v", "num", nan_where(mask(), draw(st.floats(allow_nan=False)))),
+        ("t", "time", nan_where(mask(), draw(st.integers(-30_000_000_000, 200_000_000_000)))),
         ("s", "str", draw(st.text(alphabet="ab ,\"'\n", max_size=6))),
     ])
     path = tmp_path_factory.mktemp("rt") / "a.csv"
@@ -440,7 +445,7 @@ def reference_join(left, right, keys, kind):
     def key(frame, r):
         out = []
         for k in keys:
-            vals, mask = frame.column(k)
+            vals, mask = frame.values(k), frame.mask(k)
             if mask[r]:
                 return None
             out.append(str(vals[r]) if frame.kind(k) == "str" else float(vals[r]))
@@ -461,20 +466,19 @@ def assert_join_matches_reference(left, right, keys, kind):
     assert out.n_rows == len(pairs)
     lrows = np.array([p[0] for p in pairs], dtype=int)
     for name in left.names:
-        vals, mask = left.column(name)
+        vals, mask = left.values(name), left.mask(name)
         assert out.mask(name).tolist() == mask[lrows].tolist()
         assert out.values(name).tolist() == vals[lrows].tolist() or \
             np.array_equal(out.values(name), vals[lrows], equal_nan=True)
     extra = [n for n in right.names if n not in keys]
     assert out.names == left.names + [n + "_r" if n in left.names else n for n in extra]
     for name, out_name in zip(extra, out.names[left.n_cols:]):
-        vals, mask = right.column(name)
-        got_v, got_m = out.column(out_name)
+        vals, got = right.values(name), out.values(out_name)
+        text = right.kind(name) == "str"
         for i, (_, r) in enumerate(pairs):
-            if r is None or mask[r]:
-                assert got_m[i]
-            else:
-                assert not got_m[i] and got_v[i] == vals[r]
+            # an unmatched right cell is NaN, or "" for text
+            want = ("" if text else np.nan) if r is None else vals[r]
+            assert got[i] == want or (not text and np.isnan(got[i]) and np.isnan(want))
 
 
 class TestJoinOracle:
@@ -505,7 +509,6 @@ class TestJoinOracle:
                            b=("str", ["x", "y", "z"]))
         out = join(left, right, JoinSpec(("subject_id", "hadm_id"), "left"))
         assert out.values("b").tolist() == ["", "x", "y"]
-        assert out.mask("b").tolist() == [True, False, False]
 
     def test_left_order_is_output_order(self):
         left = make_frame(k=("int", [3.0, 1.0, 2.0, 1.0]))
@@ -519,7 +522,17 @@ class TestJoinOracle:
         right = make_frame(k=("int", []), b=("str", []))
         out = join(left, right, JoinSpec(("k",), "left"))
         assert out.values("k").tolist() == [1.0, 2.0]
-        assert out.mask("b").tolist() == [True, True]
+        assert out.values("b").tolist() == ["", ""]
+
+    def test_unmatched_text_cell_survives_a_csv_round_trip(self, tmp_path):
+        left = make_frame(k=("int", [1.0, 2.0]))
+        right = make_frame(k=("int", [1.0]), note=("str", ["x"]), b=("num", [3.0]))
+        out = join(left, right, JoinSpec(("k",), "left"))
+        write_csv(out, tmp_path / "j.csv")
+        back = read_csv(tmp_path / "j.csv", [("k", "int"), ("note", "str"), ("b", "num")])
+        assert back.equals(out)
+        assert out.values("note").tolist() == ["x", ""]
+        assert out.mask("note").tolist() == [False, False]
 
     def test_text_key_never_equals_numeric_key(self):
         left = make_frame(k=("str", ["1.0", "1"]))
@@ -533,12 +546,12 @@ class TestJoinOracle:
         def side(name, min_rows):
             n = data.draw(st.integers(min_rows, 8), label=f"{name} rows")
             rows = lambda strat: data.draw(st.lists(strat, min_size=n, max_size=n))  # noqa: E731
-            spec = [("k1", "int", np.array(rows(st.integers(0, 3)), dtype=float),
-                     np.array(rows(st.booleans()), dtype=bool) & (n > 0))]
+            k1 = rows(st.integers(0, 3))
+            spec = [("k1", "int", nan_where(np.array(rows(st.booleans()), dtype=bool), k1))]
             if two_keys:
                 spec.append(("k2", "str", rows(st.sampled_from(["a", "b"]))))
-            spec.append(("v", "num", np.array(rows(st.floats(-5, 5)), dtype=float),
-                         np.array(rows(st.booleans()), dtype=bool)))
+            v = rows(st.floats(-5, 5))
+            spec.append(("v", "num", nan_where(np.array(rows(st.booleans()), dtype=bool), v)))
             spec.append((f"only_{name}", "str", rows(st.sampled_from(["p", "q"]))))
             return PatientFrame.from_columns(spec)
 
@@ -569,8 +582,11 @@ class TestAggregateOracle:
                 assert out.values("v_max")[i] == live.max()
 
     def test_masked_key_rows_dropped_and_text_keys_group(self):
-        f = make_frame(k=("str", ["b", "a", "b", "c"], np.array([False, False, False, True])),
-                       v=("num", [1.0, 2.0, 3.0, 4.0]))
+        f = make_frame(k=("int", [2.0, 1.0, 2.0, np.nan]), v=("num", [1.0, 2.0, 3.0, 4.0]))
+        out = aggregate_by_key(f, "k", ["mean"])
+        assert out.values("k").tolist() == [2.0, 1.0]
+        assert out.values("v_mean").tolist() == [2.0, 2.0]
+        f = make_frame(k=("str", ["b", "a", "b"]), v=("num", [1.0, 2.0, 3.0]))
         out = aggregate_by_key(f, "k", ["mean"])
         assert out.values("k").tolist() == ["b", "a"]
         assert out.values("v_mean").tolist() == [2.0, 2.0]

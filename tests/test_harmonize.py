@@ -129,7 +129,7 @@ class TestPlausibility:
         values = rng.uniform(-5, 80, 200)
         rule = PlausibilityRule("wbc", 1, 50)
         out, counts = _apply_rules_long(long_events("wbc", values), [rule])
-        vals, mask = out.column("valuenum")
+        vals, mask = out.values("valuenum"), out.mask("valuenum")
         live = vals[~mask]
         assert np.all((live >= rule.lower) & (live <= rule.upper))
         assert counts == {"wbc": int(((values < 1) | (values > 50)).sum())}

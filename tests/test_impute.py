@@ -56,7 +56,7 @@ class TestSingleImpute:
             mask[0] = False
         f = make_frame(v=("num", vals, np.array(mask)))
         out = impute_single(f, [ImputePolicy("v", "mean")])
-        before, bmask = f.column("v")
+        before, bmask = f.values("v"), f.mask("v")
         after = out.values("v")
         assert np.array_equal(after[~bmask], before[~bmask])
 

@@ -87,7 +87,7 @@ class TestArtifacts:
         for base in ("wbc", "glucose", "lactate", "hr"):
             rule = by_var[base]
             for stat in ("mean", "min", "max"):
-                vals, mask = frame.column(f"{base}_{stat}")
+                vals, mask = frame.values(f"{base}_{stat}"), frame.mask(f"{base}_{stat}")
                 live = vals[~mask]
                 assert np.all(live >= rule.lower - 1e-9), base
                 assert np.all(live <= rule.upper + 1e-9), base

@@ -216,7 +216,7 @@ def reference_generate(cfg, out_dir):
                                               np.full(n_minor, BASE_TIME)])),
         ("dischtime", "time", np.concatenate([sim.dischtime,
                                               np.full(n_minor, BASE_TIME + 2 * DAY)])),
-        ("deathtime", "time", a_death, np.isnan(a_death))])
+        ("deathtime", "time", a_death)])
 
     reference_write_events(sim, rng, write)
     reference_write_notes(sim, rng, write)
