@@ -35,31 +35,44 @@ def fista(Z, y, weight, step, lam, W, max_iter, coef_cap):
     intercept) is unpenalized. A column stops when its largest change
     falls below ``TOL`` or any |coefficient| exceeds ``coef_cap``.
 
+    The running columns are kept as contiguous copies (coefficients,
+    momentum points and weights, row weights, steps and thresholds),
+    compacted only when a column stops, when its coefficients are written
+    back to ``W``. Soft-thresholding is ``x - clip(x, -t, t)``, equal bit
+    for bit to ``sign(x) * max(|x| - t, 0)`` for finite x; a NaN stays NaN.
+
     Returns (live, iterations): ``live[f]`` marks a column still running
     at ``max_iter``.
     """
-    V = W.copy()
-    theta = np.ones(W.shape[1])
-    live = np.ones(W.shape[1], dtype=bool)
+    # Va is kept column-major, the layout a column gather gives: BLAS rounds
+    # Z @ Va differently in the two layouts, and this one matches the
+    # gathering reference in tests/test_kernels.py bit for bit
+    a = np.arange(W.shape[1])
+    Wa, Va, theta = W[:, a], W[:, a], np.ones(W.shape[1])
+    wa, sa, thr = weight, step, step * lam
     for it in range(1, max_iter + 1):
-        a = np.flatnonzero(live)
-        Va = V[:, a]
-        grad = Z.T @ (weight[:, a] * (sigmoid(Z @ Va) - y[:, None]))
-        Wn = Va - step[a] * grad
-        shrink = np.abs(Wn[1:]) - step[a] * lam
-        Wn[1:] = np.where(shrink > 0.0, np.sign(Wn[1:]) * shrink, 0.0)
-        D = Wn - W[:, a]
+        grad = Z.T @ (wa * (sigmoid(Z @ Va) - y[:, None]))
+        Wn = Va - sa * grad
+        body = Wn[1:]
+        body -= np.clip(body, -thr, thr)
+        D = Wn - Wa
         # restart momentum when the step opposes the last move
         restart = np.einsum("ij,ij->j", Va - Wn, D) > 0.0
-        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta[a] ** 2))
-        momentum = np.where(restart, 0.0, (theta[a] - 1.0) / theta_next)
-        theta[a] = np.where(restart, 1.0, theta_next)
-        W[:, a] = Wn
-        V[:, a] = Wn + momentum * D
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
+        momentum = np.where(restart, 0.0, (theta - 1.0) / theta_next)
+        theta = np.where(restart, 1.0, theta_next)
+        Wa, Va = Wn, np.add(Wn, momentum * D, order="F")
         done = (np.abs(D).max(axis=0) < TOL) | (np.abs(Wn).max(axis=0) > coef_cap)
-        live[a[done]] = False
-        if not live.any():
-            break
+        if done.any():
+            W[:, a] = Wa
+            run = ~done
+            a, Wa, Va, theta = a[run], Wa[:, run], Va[:, run], theta[run]
+            wa, sa, thr = wa[:, run], sa[run], thr[run]
+            if not a.size:
+                break
+    W[:, a] = Wa
+    live = np.zeros(W.shape[1], dtype=bool)
+    live[a] = True
     return live, it
 
 

@@ -5,6 +5,12 @@ chained-equation multiple imputation (ridge-linear conditionals with
 stochastic residual noise, m independent seeded chains), and downstream
 per-imputation fits are pooled with the usual within/between variance
 combination.
+
+The chains are solved together. Each keeps the cross-products and column
+sums of its completed matrix, so one conditional regression reads only the
+target's missing rows: its observed-row moments are the full ones less
+those rows'. The imputations agree with regressing each column on a
+standardised copy of all the others, up to rounding.
 """
 
 import warnings
@@ -13,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllMissingColumn, LayoutMismatch, SingularDesignWarning
+from .frame import PatientFrame
 
 METHODS = ("mean", "median", "mice", "zero", "none")
 
@@ -116,36 +123,68 @@ def missingness_report(frame, columns=None):
     return out
 
 
-def _ridge_sweep(work, mask, targets, penalty, rng):
-    """One chained-equation pass over the incomplete columns, in place."""
-    n, p = work.shape
-    for j in targets:
-        obs = ~mask[:, j]
-        mis = mask[:, j]
-        others = [k for k in range(p) if k != j]
-        Z = work[:, others]
-        mu = Z[obs].mean(axis=0)
-        sd = Z[obs].std(axis=0, ddof=0)
-        sd = np.where(sd < 1e-12, 1.0, sd)
-        Zs = (Z - mu) / sd
-        yj = work[obs, j]
-        A = Zs[obs].T @ Zs[obs] + penalty * np.eye(len(others))
-        b = Zs[obs].T @ (yj - yj.mean())
-        try:
-            coef = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            coef = None
-        if coef is None or not np.all(np.isfinite(coef)):
+def _solve_chains(A, b):
+    """Each chain's ridge coefficients; NaN for a chain whose system is singular."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        coef = np.full(b.shape, np.nan)
+        for k in range(len(b)):
+            try:
+                coef[k] = np.linalg.solve(A[k], b[k])
+            except np.linalg.LinAlgError:
+                pass
+        return coef
+
+
+def _redraw_column(W, gram, sums, j, rows, scale, penalty, rngs):
+    """Regress column j of every chain on the others over its observed rows
+    and redraw its missing ``rows`` in place, then refresh column j of each
+    chain's cross-products ``gram`` (WᵀW) and column ``sums``.
+
+    The ridge system on the standardised design is built from the centred
+    observed-row moments, and its residual sum of squares comes from the
+    normal equations.
+    """
+    m, n, p = W.shape
+    n_obs = n - len(rows)
+    Wm = W[:, rows]
+    S = sums - Wm.sum(axis=1)
+    mu = S / n_obs
+    C = Wm.transpose(0, 2, 1) @ Wm
+    np.subtract(gram, C, out=C)
+    C -= S[:, :, None] * mu[:, None, :]
+    ss = np.diagonal(C, axis1=1, axis2=2)
+    sd = np.sqrt(np.maximum(ss, 0.0) / n_obs)
+    # A column constant over these rows drops out of the design: its moment
+    # sum of squares is then cancellation error, below ~n*eps of its full
+    # one. So does a spread under 1e-12, or one whose sum of squares
+    # overflows, as their standardised columns are all zero.
+    with np.errstate(over="ignore"):
+        keep = ((ss > 4 * n * np.finfo(float).eps * np.diagonal(gram, axis1=1, axis2=2))
+                & (scale * sd >= 1e-12) & np.isfinite((scale * sd) ** 2 * n_obs))
+    inv = np.zeros_like(sd)
+    inv[keep] = 1.0 / sd[keep]
+    inv[:, j] = 0.0
+    A = inv[:, :, None] * inv[:, None, :]
+    A *= C
+    A.reshape(m, -1)[:, ::p + 1] += penalty
+    b = C[:, :, j] * inv
+    coef = _solve_chains(A, b)
+    rss = C[:, j, j] - (coef * b).sum(axis=1) - penalty * (coef * coef).sum(axis=1)
+    sigma = np.sqrt(np.maximum(rss, 0.0) / max(1, n_obs - 1))
+    beta = coef * inv
+    pred = (Wm @ beta[:, :, None])[:, :, 0] + (mu[:, j] - (mu * beta).sum(axis=1))[:, None]
+    for k, rng in enumerate(rngs):
+        if np.all(np.isfinite(coef[k])):
+            pred[k] += rng.standard_normal(len(rows)) * sigma[k]
+        else:
             warnings.warn(f"singular chained-equation design for column {j}; mean fill",
                           SingularDesignWarning)
-            work[mis, j] = yj.mean()
-            continue
-        pred_obs = Zs[obs] @ coef + yj.mean()
-        resid = yj - pred_obs
-        dof = max(1, int(obs.sum()) - 1)
-        sigma = float(np.sqrt((resid @ resid) / dof))
-        pred_mis = Zs[mis] @ coef + yj.mean()
-        work[mis, j] = pred_mis + rng.standard_normal(int(mis.sum())) * sigma
+            pred[k] = 0.0
+    W[:, rows, j] = pred
+    sums[:, j] = W[:, :, j].sum(axis=1)
+    gram[:, :, j] = gram[:, j, :] = (W.transpose(0, 2, 1) @ W[:, :, j, None])[:, :, 0]
 
 
 def mice_impute(frame, cfg, columns=None):
@@ -156,6 +195,14 @@ def mice_impute(frame, cfg, columns=None):
     redraws the missing entries as prediction + Gaussian residual noise.
     Chain k uses seed ``cfg.seed + k``, so results are reproducible and the
     chains are independent. Observed cells are preserved exactly.
+
+    The m chains are solved together on an (m, rows, columns) array,
+    centred by the observed column means and scaled by the largest
+    observed deviation. Each chain keeps its cross-products and column
+    sums, so a regression costs the target's missing rows, not a copy of
+    the whole design; the draws equal those of a per-column regression on
+    the copied, standardised design up to rounding. A chain whose system
+    is singular mean-fills that column and warns.
     """
     if columns is None:
         columns = [n for n in frame.names if frame.kind(n) == "num"]
@@ -172,22 +219,33 @@ def mice_impute(frame, cfg, columns=None):
     if not targets:
         return [frame for _ in range(cfg.m)]
 
-    init = X.copy()
     col_means = np.array([X[~M[:, j], j].mean() for j in range(X.shape[1])])
-    for j in range(X.shape[1]):
-        init[M[:, j], j] = col_means[j]
+    dev = np.where(M, 0.0, X - col_means)
+    scale = np.abs(dev).max(axis=0)
+    scale[scale == 0.0] = 1.0
+    W = np.repeat((dev / scale)[None], cfg.m, axis=0)
+    gram = W.transpose(0, 2, 1) @ W
+    sums = W.sum(axis=1)
+    rows = [np.flatnonzero(M[:, j]) for j in targets]
+    rngs = [np.random.default_rng(cfg.seed + k) for k in range(cfg.m)]
+    for _ in range(cfg.max_iter):
+        for j, mis in zip(targets, rows):
+            _redraw_column(W, gram, sums, j, mis, scale, cfg.ridge_penalty, rngs)
 
+    imputed = {columns[j]: j for j in targets}
+    names = frame.names
+    kinds = ["num" if n in imputed else frame.kind(n) for n in names]
     completed = []
     for k in range(cfg.m):
-        rng = np.random.default_rng(cfg.seed + k)
-        work = init.copy()
-        for _ in range(cfg.max_iter):
-            _ridge_sweep(work, M, targets, cfg.ridge_penalty, rng)
-        out = frame
-        for idx, name in enumerate(columns):
-            if idx in targets:
-                out = out.with_column(name, "num", work[:, idx])
-        completed.append(out)
+        cols = []
+        for name in names:
+            vals = frame.values(name)
+            if name in imputed:
+                j = imputed[name]
+                mis = M[:, j]
+                vals[mis] = col_means[j] + scale[j] * W[k, mis, j]
+            cols.append(vals)
+        completed.append(PatientFrame(names, kinds, cols))
     return completed
 
 

@@ -19,8 +19,10 @@ from riskforge.glm import fit_logistic, sigmoid, vif
 from riskforge.impute import MiceConfig, mice_impute, rubin_pool
 from riskforge.lasso import fit_lasso, lambda_max
 from riskforge.scoring import News2Input, decision_curve, news2_score, roc
-from riskforge.synth import SynthConfig, features_frame, simulate
+from riskforge.synth import SynthConfig, simulate
 from riskforge.text import fit_reduced_basis
+
+from synth_frames import features_frame
 
 
 @contextmanager

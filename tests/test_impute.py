@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,92 @@ def _fit(coef, se, names=None):
     names = names or [f"b{i}" for i in range(len(coef))]
     return GlmFit(names, coef, se, None, None, None, None, -1.0, -2.0, 0.5,
                   10, True)
+
+
+def _reference_sweep(work, mask, targets, penalty, rng):
+    """One chained-equation pass over the incomplete columns, in place: each
+    target regressed on a standardised copy of all the other columns."""
+    n, p = work.shape
+    for j in targets:
+        obs = ~mask[:, j]
+        mis = mask[:, j]
+        others = [k for k in range(p) if k != j]
+        Z = work[:, others]
+        mu = Z[obs].mean(axis=0)
+        sd = Z[obs].std(axis=0, ddof=0)
+        sd = np.where(sd < 1e-12, 1.0, sd)
+        Zs = (Z - mu) / sd
+        yj = work[obs, j]
+        A = Zs[obs].T @ Zs[obs] + penalty * np.eye(len(others))
+        b = Zs[obs].T @ (yj - yj.mean())
+        try:
+            coef = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError:
+            coef = None
+        if coef is None or not np.all(np.isfinite(coef)):
+            warnings.warn(f"singular chained-equation design for column {j}; mean fill",
+                          SingularDesignWarning)
+            work[mis, j] = yj.mean()
+            continue
+        pred_obs = Zs[obs] @ coef + yj.mean()
+        resid = yj - pred_obs
+        dof = max(1, int(obs.sum()) - 1)
+        sigma = float(np.sqrt((resid @ resid) / dof))
+        pred_mis = Zs[mis] @ coef + yj.mean()
+        work[mis, j] = pred_mis + rng.standard_normal(int(mis.sum())) * sigma
+
+
+def reference_mice(X, cfg):
+    """The m completed matrices of ``mice_impute``, one chain at a time."""
+    M = np.isnan(X)
+    targets = [j for j in range(X.shape[1]) if M[:, j].any()]
+    init = X.copy()
+    for j in range(X.shape[1]):
+        init[M[:, j], j] = X[~M[:, j], j].mean()
+    completed = []
+    for k in range(cfg.m):
+        rng = np.random.default_rng(cfg.seed + k)
+        work = init.copy()
+        with np.errstate(over="ignore"):
+            for _ in range(cfg.max_iter):
+                _reference_sweep(work, M, targets, cfg.ridge_penalty, rng)
+        completed.append(work)
+    return completed
+
+
+def _frame(X):
+    return make_frame(**{f"c{j}": ("num", X[:, j]) for j in range(X.shape[1])})
+
+
+def _assert_matches_reference(X, cfg):
+    got = mice_impute(_frame(X), cfg)
+    for out, want in zip(got, reference_mice(X, cfg)):
+        for j in range(X.shape[1]):
+            col = out.values(f"c{j}")
+            obs = ~np.isnan(X[:, j])
+            assert np.array_equal(col[obs], X[obs, j])
+            np.testing.assert_allclose(col, want[:, j], rtol=1e-6,
+                                       atol=1e-6 * np.abs(want[:, j]).max())
+
+
+def _hard_columns(rng, n):
+    """Random columns with the cases the moment form must get right, and the
+    three rows where the flag (column 6) is 1. Masking column 0 there leaves
+    the flag 0 on every observed row of column 0."""
+    base = rng.standard_normal((n, 3))
+    flag_rows = rng.choice(n, size=3, replace=False)
+    flag = np.zeros(n)
+    flag[flag_rows] = 1.0
+    X = np.column_stack([
+        base,
+        base[:, 0] + 1e-6 * rng.standard_normal(n),     # collinear
+        np.full(n, 4.5),                                 # constant
+        98.6 + 0.4 * rng.standard_normal(n),             # degrees F
+        flag,
+        1e200 * rng.standard_normal(n),                  # squares overflow
+        1e-14 * rng.standard_normal(n),                  # spread under 1e-12
+    ])
+    return X, flag_rows
 
 
 class TestSingleImpute:
@@ -131,6 +219,80 @@ class TestMice:
                        c=("num", vals[:, 2], mask[:, 2]))
         outs = mice_impute(f, MiceConfig(m=2, max_iter=3, seed=0))
         assert outs[0].values("b")[4] != outs[1].values("b")[4]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_column_reference(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(60, 400))
+        X, flag_rows = _hard_columns(rng, n)
+        for j in (0, 1, 3, 4, 5):
+            X[rng.uniform(size=n) < rng.uniform(0.05, 0.3), j] = np.nan
+        X[flag_rows, 0] = np.nan
+        _assert_matches_reference(X, MiceConfig(m=3, max_iter=4, seed=seed))
+
+    def test_flag_constant_over_observed_rows(self):
+        # the flag is 0 wherever the target is observed and 1 on 3 of its
+        # missing rows: the flag carries nothing there, as in the reference
+        rng = np.random.default_rng(11)
+        X, flag_rows = _hard_columns(rng, 400)
+        X = X[:, [0, 1, 2, 6]]
+        X[flag_rows, 0] = np.nan
+        _assert_matches_reference(X, MiceConfig(m=2, max_iter=3, seed=1))
+
+    def test_column_whose_squares_overflow(self):
+        # the reference's standard deviation of the 1e200 column overflows,
+        # so it regresses on the other columns alone
+        rng = np.random.default_rng(12)
+        X, _ = _hard_columns(rng, 300)
+        X = X[:, [0, 1, 2, 7]]
+        X[rng.uniform(size=300) < 0.2, 0] = np.nan
+        X[rng.uniform(size=300) < 0.2, 1] = np.nan
+        _assert_matches_reference(X, MiceConfig(m=2, max_iter=3, seed=2))
+
+    def test_singular_design_mean_fills_that_chain_and_warns(self, monkeypatch):
+        # the stacked solve fails, then chain 1's own solve: chain 1 falls
+        # back to the observed mean, the other chains still regress
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((80, 3))
+        X[rng.uniform(size=80) < 0.2, 0] = np.nan
+        cfg = MiceConfig(m=3, max_iter=1, seed=4)
+        solve = np.linalg.solve
+        calls = []
+
+        def failing_solve(A, b):
+            calls.append(A.ndim)
+            if A.ndim == 3 or len(calls) == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(A, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        with pytest.warns(SingularDesignWarning) as record:
+            got = mice_impute(_frame(X), cfg)
+        monkeypatch.undo()
+        assert calls == [3, 2, 2, 2]
+        assert len(record) == 1
+        mis = np.isnan(X[:, 0])
+        assert np.all(got[1].values("c0")[mis] == X[~mis, 0].mean())
+        want = reference_mice(X, cfg)
+        for k in (0, 2):
+            np.testing.assert_allclose(got[k].values("c0"), want[k][:, 0], rtol=1e-9)
+
+    def test_every_chain_mean_fills_when_every_solve_fails(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((50, 3))
+        X[rng.uniform(size=50) < 0.2, 1] = np.nan
+
+        def failing_solve(A, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        with pytest.warns(SingularDesignWarning) as record:
+            got = mice_impute(_frame(X), MiceConfig(m=3, max_iter=2, seed=0))
+        assert len(record) == 3 * 2
+        mis = np.isnan(X[:, 1])
+        for out in got:
+            assert np.all(out.values("c1")[mis] == X[~mis, 1].mean())
+            assert np.array_equal(out.values("c1")[~mis], X[~mis, 1])
 
 
 class TestRubin:

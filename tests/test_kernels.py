@@ -1,8 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 
 from riskforge import _kernels as K
+from riskforge.glm import sigmoid
 
 
 def problem(seed, n=200, p=8):
@@ -160,3 +162,70 @@ def test_lasso_cd_returns_at_once_from_an_optimal_start():
     beta = np.zeros(X.shape[1])
     _, iters, conv = K.lasso_cd(X, y, 0.9 * lambda_max(X, y), logit, beta, 50000)
     assert iters > 0 and conv and beta.any()
+
+
+def reference_fista(Z, y, weight, step, lam, W, max_iter, coef_cap):
+    """``K.fista`` with every running column gathered from and scattered to
+    the full arrays on each iteration, soft-thresholding as
+    sign(x) * max(|x| - t, 0)."""
+    V = W.copy()
+    theta = np.ones(W.shape[1])
+    live = np.ones(W.shape[1], dtype=bool)
+    for it in range(1, max_iter + 1):
+        a = np.flatnonzero(live)
+        Va = V[:, a]
+        grad = Z.T @ (weight[:, a] * (sigmoid(Z @ Va) - y[:, None]))
+        Wn = Va - step[a] * grad
+        shrink = np.abs(Wn[1:]) - step[a] * lam
+        Wn[1:] = np.where(shrink > 0.0, np.sign(Wn[1:]) * shrink, 0.0)
+        D = Wn - W[:, a]
+        restart = np.einsum("ij,ij->j", Va - Wn, D) > 0.0
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta[a] ** 2))
+        momentum = np.where(restart, 0.0, (theta[a] - 1.0) / theta_next)
+        theta[a] = np.where(restart, 1.0, theta_next)
+        W[:, a] = Wn
+        V[:, a] = Wn + momentum * D
+        done = (np.abs(D).max(axis=0) < K.TOL) | (np.abs(Wn).max(axis=0) > coef_cap)
+        live[a[done]] = False
+        if not live.any():
+            break
+    return live, it
+
+
+def fold_problem(seed, n=150, p=12, folds=5):
+    X, y = problem(seed, n, p)
+    Z = np.hstack([np.ones((n, 1)), X])
+    assign = np.random.default_rng(seed).integers(0, folds, size=n)
+    train = assign[:, None] != np.arange(folds)[None, :]
+    weight = train / train.sum(axis=0)
+    step = np.array([4.0 * train[:, f].sum() / np.linalg.norm(Z[train[:, f]], 2) ** 2
+                     for f in range(folds)])
+    return Z, y, weight, step
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fista_equals_reference_bit_for_bit(seed):
+    # folds stop at different iterations, by tolerance or by the coefficient
+    # cap, or run to the iteration cap
+    Z, y, weight, step = fold_problem(seed)
+    lmax = np.abs(Z[:, 1:].T @ (y - y.mean())).max() / len(y)
+    for lam, max_iter, cap in ((0.2 * lmax, 5000, 30.0), (0.05 * lmax, 60, 30.0),
+                               (0.01 * lmax, 3000, 1.5)):
+        W0 = np.zeros((Z.shape[1], weight.shape[1]))
+        W0[0] = np.linspace(-0.2, 0.2, weight.shape[1])
+        want_W, got_W = W0.copy(), W0.copy()
+        want = reference_fista(Z, y, weight, step, lam, want_W, max_iter, cap)
+        got = K.fista(Z, y, weight, step, lam, got_W, max_iter, cap)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert np.array_equal(got_W.view(np.int64), want_W.view(np.int64))
+
+
+def test_fista_leaves_a_nan_coefficient_nan():
+    # the reference's soft-threshold turned a NaN into 0.0; a NaN now stays,
+    # so a NaN in the design cannot pass for an empty model
+    Z, y, weight, step = fold_problem(0)
+    Z[3, 2] = np.nan
+    W = np.zeros((Z.shape[1], weight.shape[1]))
+    live, it = K.fista(Z, y, weight, step, 0.01, W, 20, 30.0)
+    assert np.isnan(W).all()
+    assert live.all() and it == 20

@@ -13,8 +13,10 @@ from riskforge.harmonize import GCS_NAMES, VITAL_NAMES
 from riskforge.synth import (ARREST_CODES, BASE_TIME, COMORBIDITY_RATES, DAY,
                              DEFAULT_MISSING_RATES, DEFAULT_TRUE_BETA, HOUR, ITEMID_OF,
                              NOISE_CODES, PROTECT_TOKENS, RISK_TOKENS, SynthConfig,
-                             _emb_factors, _filler_pool, _render_note, features_frame,
-                             generate, simulate)
+                             _emb_factors, _filler_pool, _render_note, generate,
+                             simulate)
+
+from synth_frames import features_frame
 
 
 def small_cfg(**kw):
