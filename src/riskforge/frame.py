@@ -3,10 +3,11 @@
 A PatientFrame stores each column as a numpy array: numeric columns as
 floats, where NaN marks a missing cell, so "blank" and "zero" stay
 distinguishable end to end; text columns as strings, which are never
-missing (a blank text cell is the empty string). Frames are treated as
-immutable: every operation returns a new frame and shares no mutable
-state with its inputs. On disk a missing number is a blank cell, and a
-blank numeric cell reads back as NaN, so a round trip keeps every gap.
+missing (a blank text cell is the empty string). Frames are immutable:
+every operation returns a new frame, no operation writes to a column
+array, and frames may share them (``values`` hands out a copy). On disk a
+missing number is a blank cell, and a blank numeric cell reads back as
+NaN, so a round trip keeps every gap.
 
 The CSV codec converts whole columns (in blocks of rows, to bound memory)
 and keeps the rules of a cell-by-cell parser. A blank cell is missing, and
@@ -18,15 +19,27 @@ toward zero as ``int(float(text))`` does, and non-finite ones are missing;
 cell by cell. A ``time`` column whose cells all read ``YYYY-MM-DD
 HH:MM:SS`` parses through ``datetime64[s]``; any other goes cell by cell
 through ``strptime``, since off that form the two disagree (numpy takes a
-bare date, a ``T`` or a leading space, strptime unpadded fields). Writing
-formats each column once. Joins and group-bys run on integer key codes
-from ``np.unique`` and stable sorts.
+bare date, a ``T`` or a leading space, strptime unpadded fields).
+
+Writing formats each column once per block of rows: a ``num`` column in
+one ``repr`` of its list, whose cells round-trip every float. The writer
+follows csv.writer's minimal quoting. A cell is quoted when it holds a
+comma, a double quote, a carriage return or a line feed, which only a
+text cell can, and a one-column row whose cell is blank is written as
+``""``. A block with such a cell goes through csv.writer; every other
+block is joined with "," and "\\r\\n", which writes the same bytes. A
+CellCache passed to successive writes formats a column they share once
+and returns each table as read_csv would read it back.
+
+Joins and group-bys run on integer key codes from ``np.unique`` and
+stable sorts.
 """
 
 import csv
 import gc
 import itertools
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -46,6 +59,8 @@ _BLOCK_MIN_ROWS = 256
 # a time cell numpy and strptime read alike; year 0 is left to strptime
 _TIME_CELL = re.compile(
     r"(?:(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2})?")
+# a character that makes csv.writer quote a cell
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def parse_time(text):
@@ -163,7 +178,7 @@ class PatientFrame:
         return PatientFrame(
             [self._names[i] for i in idx],
             [self._kinds[i] for i in idx],
-            [self._columns[i].copy() for i in idx],
+            [self._columns[i] for i in idx],
         )
 
     def drop(self, names):
@@ -176,7 +191,7 @@ class PatientFrame:
         if added.n_rows != self.n_rows and self.n_cols > 0:
             raise ValueError("column length does not match frame")
         names, kinds = list(self._names), list(self._kinds)
-        cols = [c.copy() for c in self._columns]
+        cols = list(self._columns)
         if name in self._index:
             i = self._index[name]
             kinds[i] = kind
@@ -189,7 +204,7 @@ class PatientFrame:
 
     def rename(self, mapping):
         return PatientFrame([mapping.get(n, n) for n in self._names], self._kinds,
-                            [c.copy() for c in self._columns])
+                            self._columns)
 
     def sort_by(self, names):
         """Stable ascending sort; missing cells order last within each level."""
@@ -314,33 +329,121 @@ def _format_times(seconds):
 
 
 def _format_column(values, kind):
-    """One column -> object array of cell strings, blank where missing."""
+    """One column -> list of cell strings, blank where missing."""
     if kind == "str":
-        return values.astype(object)
+        return values.tolist()
+    if values.size == 0:
+        return []
+    if kind == "num":
+        # one C call; a float's repr holds no ", " and only a NaN's reads "nan"
+        return repr(np.asarray(values, dtype=float).tolist())[1:-1] \
+            .replace("nan", "").split(", ")
     missing = np.isnan(values)
     live = np.where(missing, 0.0, values)
-    if kind == "num":
-        cells = np.array(list(map(repr, live.tolist())), dtype=object)
-    elif kind == "int":
+    if kind == "int":
         cells = np.array(list(map(str, map(round, live.tolist()))), dtype=object)
     else:
         cells = _format_times(live).astype(object)
     cells[missing] = ""
-    return cells
+    return cells.tolist()
 
 
-def write_csv(frame, path):
+class CellCache:
+    """The cells write_csv formatted, kept for later writes to reuse.
+
+    Pass one shared cache to the writes of tables that share columns. A
+    non-text column whose values are bitwise equal to those last written
+    through the cache under its name and kind reuses their cells, held per
+    block as one "\\n"-joined string, and the column read_csv makes of
+    them. A text column is never reused: its cells may hold a newline. A
+    cache made with ``shared=False`` serves one write and keeps nothing.
+    """
+
+    def __init__(self, shared=True):
+        self.shared = shared
+        self._columns = {}  # name -> _Formatted
+
+    def _lookup(self, name, kind, values, block_rows):
+        hit = self._columns.get(name)
+        if hit is None or (hit.kind, hit.block_rows) != (kind, block_rows):
+            return None
+        if (hit.values.dtype, hit.values.shape) != (values.dtype, values.shape) \
+                or hit.values.tobytes() != values.tobytes():
+            return None
+        return hit
+
+
+# a column as a CellCache holds it: a copy of its values, its cells per
+# block joined by "\n", and the read-only column read_csv makes of them
+_Formatted = namedtuple("_Formatted", "kind block_rows values blocks read_back")
+
+
+def _plain(cells, kinds):
+    """Whether csv.writer would quote no cell of these columns, so that
+    joining with "," writes the same bytes: no text cell holds a comma, a
+    quote or a line break, and no one-cell row is blank."""
+    if len(cells) == 1 and "" in cells[0]:
+        return False
+    return not any(_NEEDS_QUOTES.search("".join(c)) for c, k in zip(cells, kinds)
+                   if k == "str")
+
+
+def write_csv(frame, path, cache=None):
+    """Write ``frame`` as CSV, formatting each column once per block of rows.
+
+    A block with a cell that csv.writer would quote goes through it; every
+    other block is joined with "," and "\\r\\n", the same bytes. With a
+    ``cache`` (CellCache), columns written before through it reuse their
+    cells, and the call returns the frame read_csv would read back from
+    ``path`` under the frame's own kinds, with read-only columns: a number
+    as written (repr round-trips a float) with its NaNs canonical, every
+    other column parsed from its cells.
+    """
+    names, kinds, columns = frame._names, frame._kinds, frame._columns
+    block_rows = _block_rows(len(names))
+    hits = [cache._lookup(n, k, c, block_rows) if cache is not None else None
+            for n, k, c in zip(names, kinds, columns)]
+    # per column the cache lacks: its "\n"-joined cell blocks, parsed blocks
+    joined = [[] for _ in names]
+    parsed = [[] for _ in names]
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(frame.names)
-            block_rows = _block_rows(frame.n_cols)
-            for start in range(0, frame.n_rows, block_rows):
-                rows = slice(start, start + block_rows)
-                writer.writerows(zip(*[_format_column(c[rows], k)
-                                       for c, k in zip(frame._columns, frame._kinds)]))
+            writer.writerow(names)
+            for b, start in enumerate(range(0, frame.n_rows, block_rows)):
+                cells = []
+                for j, (kind, col, hit) in enumerate(zip(kinds, columns, hits)):
+                    if hit is not None:
+                        cells.append(hit.blocks[b].split("\n"))
+                        continue
+                    cells.append(_format_column(col[start:start + block_rows], kind))
+                    if cache is not None and cache.shared and kind != "str":
+                        joined[j].append("\n".join(cells[-1]))
+                    if cache is not None and kind != "num":
+                        parsed[j].append(_parse_column(cells[-1], kind))
+                if _plain(cells, kinds):
+                    fh.write("\r\n".join(map(",".join, zip(*cells))))
+                    fh.write("\r\n")
+                else:
+                    writer.writerows(zip(*cells))
     except OSError as exc:
         raise IoFailure(f"{path}: {exc}") from exc
+    if cache is None:
+        return None
+    back = []
+    for name, kind, col, hit, blocks, parts in zip(names, kinds, columns, hits, joined, parsed):
+        if hit is not None:
+            back.append(hit.read_back)
+            continue
+        if kind == "num":
+            values = np.where(np.isnan(col), np.nan, np.asarray(col, dtype=float))
+        else:
+            values = np.concatenate(parts) if parts else _parse_column([], kind)
+        values.flags.writeable = False
+        back.append(values)
+        if cache.shared and kind != "str":
+            cache._columns[name] = _Formatted(kind, block_rows, col.copy(), blocks, values)
+    return PatientFrame(names, kinds, back)
 
 
 # --- joins ---

@@ -192,17 +192,20 @@ def _events_to_variables(chartevents):
 
 def _pool_duplicate_measurements(events, key):
     """Average simultaneous readings of one variable (arterial + cuff BP);
-    one row per (key, variable, charttime), in that order."""
+    one row per (key, variable, charttime), in that order. The readings of
+    one row are summed in ascending value order, so the mean does not
+    depend on the order of the input rows."""
     variables, var = np.unique(events.values("variable"), return_inverse=True)
     kvals = events.values(key)
     tvals = events.values("charttime")
-    order = np.lexsort((tvals, var, kvals))  # stable: readings keep row order
+    values = events.values("valuenum")
+    order = np.lexsort((values, tvals, var, kvals))
     kvals, var, tvals = kvals[order], var[order], tvals[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (kvals[1:] != kvals[:-1]) | (var[1:] != var[:-1]) | (tvals[1:] != tvals[:-1])
     starts = np.flatnonzero(first)
     counts = np.diff(np.append(starts, len(order)))
-    pooled = segment_means(events.values("valuenum")[order], starts, counts)
+    pooled = segment_means(values[order], starts, counts)
     return PatientFrame.from_columns([
         (key, "int", kvals[starts]),
         ("variable", "str", variables[var[starts]]),

@@ -8,6 +8,15 @@ through ``_atomic`` (to ``name.tmp``, then renamed). A feature table's
 whole-number columns are ``INT_COLUMNS``: the ids, the outcome,
 ``harmonize.FLAG_NAMES`` and ``text.INDICATORS``; the rest read as reals.
 
+A process does not parse the checkpoints it wrote. ``_save`` keeps each
+table as ``read_csv`` would read it back (frame.write_csv returns that
+frame) with the file's (device, inode, size, mtime) taken after the
+rename. ``_load`` serves the kept frame, sharing its read-only columns,
+when the file still has that stat and every requested column has the
+kind it was saved with; otherwise, as when the file was rewritten by
+another writer or a stage runs in a new process, it reads the disk.
+Only one ``out_dir``'s tables are kept: a save elsewhere drops them.
+
 Randomness is derived from the single configured root seed, expanded per
 stage through ``config.stage_seed``, so any stage can be re-run in
 isolation and byte-identical outputs follow from identical config+seed.
@@ -23,7 +32,8 @@ from . import design, gbt, glm, impute, lasso, svgplot, text as text_mod
 from .config import stage_seed
 from .cohort import CohortConfig, build_cohort
 from .errors import MissingArtifact, SingularHessian
-from .frame import JoinSpec, PatientFrame, join, read_csv, read_header, write_csv
+from .frame import (CellCache, JoinSpec, PatientFrame, join, read_csv, read_header,
+                    write_csv)
 from .harmonize import (DEFAULT_PLAUSIBILITY, FLAG_NAMES, PlausibilityRule,
                         build_structured_features, fahrenheit_to_celsius, window_24h)
 from .impute import MiceConfig, default_policies, impute_single, mice_impute, missingness_report
@@ -45,6 +55,10 @@ INT_COLUMNS = frozenset(ID_COLUMNS + (OUTCOME,) + FLAG_NAMES
 
 # --- checkpoint I/O ---
 
+# the tables _save wrote, as read back: absolute path -> (the file's
+# (device, inode, size, mtime) after the rename, frame); one out_dir's only
+_SAVED = {}
+
 
 def _atomic(cfg, name, write):
     """Call ``write(tmp)`` and move tmp over ``out_dir/name``, so readers
@@ -56,10 +70,19 @@ def _atomic(cfg, name, write):
     return path
 
 
-def _save(cfg, name, table):
-    """Write a frame, or a [(column, kind, values)] list, as ``out_dir/name``."""
+def _save(cfg, name, table, cache=None):
+    """Write a frame, or a [(column, kind, values)] list, as ``out_dir/name``
+    and keep it in memory as read back, for ``_load``. ``cache`` is a
+    CellCache shared with the writes of tables that share columns."""
     frame = table if isinstance(table, PatientFrame) else PatientFrame.from_columns(table)
-    return _atomic(cfg, name, lambda tmp: write_csv(frame, tmp))
+    cache = CellCache(shared=False) if cache is None else cache
+    kept = []
+    path = _atomic(cfg, name, lambda tmp: kept.append(write_csv(frame, tmp, cache)))
+    full = os.path.abspath(path)
+    if any(os.path.dirname(p) != os.path.dirname(full) for p in _SAVED):
+        _SAVED.clear()
+    _SAVED[full] = (_stat_key(full), kept[0])
+    return path
 
 
 def _rows(schema, rows):
@@ -78,15 +101,32 @@ def _need(path, stage):
     return path
 
 
-def _features_schema(path):
-    return [(name, "int" if name in INT_COLUMNS else "num") for name in read_header(path)]
+def _features_schema(names):
+    return [(name, "int" if name in INT_COLUMNS else "num") for name in names]
+
+
+def _stat_key(path):
+    st = os.stat(path)
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
 
 
 def _load(cfg, name, stage, schema=None):
     """Read ``out_dir/name``, an earlier stage's artifact; ``schema``
-    defaults to the feature-table rule."""
+    defaults to the feature-table rule. A table this process saved there is
+    served from memory while the file is the one saved and every requested
+    column has the kind it was saved with."""
     path = _need(os.path.join(cfg.out_dir, name), stage)
-    return read_csv(path, _features_schema(path) if schema is None else schema)
+    stat, saved = _SAVED.get(os.path.abspath(path), (None, None))
+    if saved is not None and stat == _stat_key(path):
+        wanted = _features_schema(saved.names) if schema is None else schema
+        if all(saved.has_column(n) and saved.kind(n) == k for n, k in wanted):
+            return saved.select([n for n, _ in wanted])
+    return read_csv(path, _features_schema(read_header(path)) if schema is None else schema)
+
+
+def forget_saved():
+    """Drop the tables ``_save`` keeps in memory; loads then read the disk."""
+    _SAVED.clear()
 
 
 # --- input schemas (MIMIC-shaped headers) ---
@@ -204,6 +244,7 @@ def run_impute(cfg):
     completed = mice_impute(single, mcfg, mice_columns)
 
     outs = []
+    cache = CellCache()  # the m tables share every column MICE does not fill
     for k, frame in enumerate(completed, start=1):
         missing = frame.mask("gcs_total")
         if missing.any():
@@ -211,7 +252,7 @@ def run_impute(cfg):
             total[missing] = sum(frame.values(f"gcs_{part}_mean")
                                  for part in ("eye", "verbal", "motor"))[missing]
             frame = frame.with_column("gcs_total", "num", total)
-        outs.append(_save(cfg, f"imputed_{k}.csv", frame))
+        outs.append(_save(cfg, f"imputed_{k}.csv", frame, cache))
 
     outs.append(_save(cfg, "imputation_report.csv", _rows(
         [("variable", "str"), ("missing_count", "int"), ("missing_pct", "num")],

@@ -8,7 +8,7 @@ import pytest
 from riskforge.cli import main
 from riskforge.config import echo_config, stage_seed, validate_config
 from riskforge.errors import ConfigInvalid
-from riskforge.pipeline import STAGES, run_all
+from riskforge.pipeline import STAGES, forget_saved, run_all
 
 
 MINIMAL = """\
@@ -185,6 +185,7 @@ class TestStageByStage:
         ))
         assert main(["synth", "--config", str(cfg)]) == 0
         for stage in STAGES[1:]:
+            forget_saved()  # each CLI stage reads its inputs from disk, as a new process
             assert main([stage, "--config", str(cfg), "--out", str(tmp_path / "cli")]) == 0
         run_all(validate_config(cfg), STAGES[1:])
 

@@ -1,14 +1,18 @@
 import csv
+import io
 import math
 from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from riskforge.errors import KeyMissing, MissingColumn, NonNumericColumn
-from riskforge.frame import (JoinSpec, PatientFrame, _block_rows, aggregate_by_key, join,
-                             parse_time, format_time, read_csv, write_csv)
+from riskforge import frame as frame_mod
+from riskforge.frame import (KINDS, CellCache, JoinSpec, PatientFrame, _block_rows,
+                             _format_column, aggregate_by_key, join, parse_time,
+                             format_time, read_csv, write_csv)
 
 
 def nan_where(missing, values):
@@ -422,6 +426,156 @@ class TestWriteCsvOracle:
             assert [r[j] for r in rows[1:]] == expected, name
 
 
+# --- the lean writer against csv.writer ---
+
+# text with every character csv.writer quotes for
+QUOTABLE = st.text(alphabet='ab ,"\r\n', max_size=4)
+
+
+def csv_writer_bytes(frame):
+    """The file a plain csv.writer makes of the frame's formatted cells."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(frame.names)
+    writer.writerows(zip(*[_format_column(frame._columns[i], frame.kind(n))
+                           for i, n in enumerate(frame.names)]))
+    return buf.getvalue().encode("utf-8")
+
+
+def draw_frame(data, n_rows, n_cols):
+    """A frame of ``n_cols`` columns of any kind; text cells and names that
+    need quoting, blanks and missing numbers among them."""
+    names = data.draw(st.lists(QUOTABLE, min_size=n_cols, max_size=n_cols, unique=True))
+    cells = {
+        "num": st.one_of(st.floats(), st.sampled_from([-0.0, np.inf, np.nan])),
+        "int": st.one_of(st.integers(-10 ** 12, 10 ** 12).map(float), st.just(np.nan)),
+        "time": st.one_of(st.integers(-30_000_000_000, 200_000_000_000).map(float),
+                          st.just(np.nan)),
+        "str": QUOTABLE,
+    }
+    spec = []
+    for name in names:
+        kind = data.draw(st.sampled_from(KINDS))
+        spec.append((name, kind, data.draw(st.lists(cells[kind], min_size=n_rows,
+                                                     max_size=n_rows))))
+    return PatientFrame.from_columns(spec)
+
+
+def assert_read_back(back, path):
+    """``back`` is the frame read_csv reads from ``path``, column for column
+    bitwise, with read-only columns."""
+    disk = read_csv(path, [(n, back.kind(n)) for n in back.names])
+    assert disk.names == back.names
+    for i, name in enumerate(back.names):
+        a, b = back._columns[i], disk._columns[i]
+        assert not a.flags.writeable
+        if back.kind(name) == "str":
+            assert a.dtype == b.dtype == object and a.tolist() == b.tolist()
+        else:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestLeanWriter:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_bytes_match_csv_writer(self, tmp_path_factory, data):
+        # tiny blocks, so that a few rows span several of them
+        n_cols = data.draw(st.integers(1, 4))
+        frame = draw_frame(data, data.draw(st.integers(0, 9)), n_cols)
+        path = tmp_path_factory.mktemp("lean") / "x.csv"
+        with mock.patch.object(frame_mod, "_BLOCK_MIN_ROWS", 2), \
+                mock.patch.object(frame_mod, "_BLOCK_CELLS", 4):
+            write_csv(frame, path)
+        assert path.read_bytes() == csv_writer_bytes(frame)
+
+    @pytest.mark.parametrize("special", [",", '"', "\r", "\n"])
+    def test_each_quoted_character(self, tmp_path, special):
+        for names in (["a", "b"], ["a", f"b{special}"]):
+            frame = PatientFrame.from_columns([(names[0], "num", [1.5, 2.0]),
+                                               (names[1], "str", ["x", f"y{special}z"])])
+            write_csv(frame, tmp_path / "x.csv")
+            assert (tmp_path / "x.csv").read_bytes() == csv_writer_bytes(frame)
+
+    def test_one_column_blank_cells_are_quoted(self, tmp_path):
+        frame = make_frame(a=("num", [1.0, 0.0, 2.0], [False, True, False]))
+        write_csv(frame, tmp_path / "x.csv")
+        assert (tmp_path / "x.csv").read_bytes() == b'a\r\n1.0\r\n""\r\n2.0\r\n'
+        assert read_csv(tmp_path / "x.csv", [("a", "num")]).equals(frame)
+
+    def test_zero_row_frame_writes_its_header(self, tmp_path):
+        frame = make_frame(**{"a,b": ("num", []), "c": ("str", [])})
+        write_csv(frame, tmp_path / "x.csv")
+        assert (tmp_path / "x.csv").read_bytes() == b'"a,b",c\r\n'
+
+    def test_multi_block_frame_matches_csv_writer(self, tmp_path):
+        n, rng = 700, np.random.default_rng(4)
+        texts = ["plain", "a,b", 'say "x"', "two\nlines", "cr\r", ""]
+        frame = PatientFrame.from_columns([
+            ("v", "num", np.where(rng.uniform(size=n) < 0.2, np.nan, rng.normal(0, 1e3, n))),
+            ("k", "int", rng.integers(-5, 5, n).astype(float)),
+            ("t", "time", rng.uniform(0, 1e9, n)),
+            # quotable text in the second block only
+            ("s", "str", [texts[i % 6] if i >= 300 else "ok" for i in range(n)]),
+        ] + [(f"f{j}", "num", rng.normal(0, 1, n)) for j in range(WIDE_COLUMNS - 4)])
+        assert _block_rows(frame.n_cols) < 300
+        write_csv(frame, tmp_path / "x.csv")
+        assert (tmp_path / "x.csv").read_bytes() == csv_writer_bytes(frame)
+
+
+class TestCellCache:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_writes_through_a_cache_match_csv_writer_and_read_back(
+            self, tmp_path_factory, data):
+        n_rows = data.draw(st.integers(0, 9))
+        first = draw_frame(data, n_rows, data.draw(st.integers(1, 4)))
+        # a second table sharing some of the first one's columns
+        second = draw_frame(data, n_rows, data.draw(st.integers(1, 4)))
+        for name in first.names:
+            if name not in second.names and data.draw(st.booleans()):
+                second = second.with_column(name, first.kind(name), first.values(name))
+        root = tmp_path_factory.mktemp("cache")
+        cache = CellCache()
+        with mock.patch.object(frame_mod, "_BLOCK_MIN_ROWS", 2), \
+                mock.patch.object(frame_mod, "_BLOCK_CELLS", 4):
+            for k, frame in enumerate((first, second, first)):
+                path = root / f"{k}.csv"
+                back = write_csv(frame, path, cache)
+                assert path.read_bytes() == csv_writer_bytes(frame)
+                assert_read_back(back, path)
+
+    def test_shared_columns_are_formatted_once_and_read_back_as_one_array(self, tmp_path):
+        shared = np.linspace(0, 1, 600)
+        frames = [PatientFrame.from_columns([("a", "num", shared), ("b", "num", shared * k),
+                                             ("c", "str", ["x"] * 600)])
+                  for k in (1, 2)]
+        cache = CellCache()
+        with mock.patch.object(frame_mod, "_format_column",
+                               wraps=frame_mod._format_column) as fmt:
+            backs = [write_csv(f, tmp_path / f"{k}.csv", cache) for k, f in enumerate(frames)]
+        formatted = [c.args[1] for c in fmt.call_args_list]
+        assert formatted.count("num") == 3 * len(range(0, 600, _block_rows(3)))
+        assert backs[0]._columns[0] is backs[1]._columns[0]
+        assert backs[0]._columns[1] is not backs[1]._columns[1]
+        for k, back in enumerate(backs):
+            assert_read_back(back, tmp_path / f"{k}.csv")
+
+    def test_an_unshared_cache_reads_back_and_keeps_nothing(self, tmp_path):
+        frame = make_frame(a=("num", [1.0, 2.0], [False, True]), b=("str", ["x", ""]))
+        cache = CellCache(shared=False)
+        back = write_csv(frame, tmp_path / "x.csv", cache)
+        assert_read_back(back, tmp_path / "x.csv")
+        assert cache._columns == {}
+
+    def test_nan_payloads_read_back_canonical(self, tmp_path):
+        odd = np.array([np.nan, 1.0]).view(np.uint64)
+        odd[0] |= 1 << 63  # a negative NaN, as 0 * inf makes
+        frame = PatientFrame(["v"], ["num"], [odd.view(float)])
+        back = write_csv(frame, tmp_path / "x.csv", CellCache())
+        assert_read_back(back, tmp_path / "x.csv")
+        assert back._columns[0].view(np.uint64)[0] == np.array(np.nan).view(np.uint64)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_read_of_write_equals_original(tmp_path_factory, data):
@@ -438,6 +592,9 @@ def test_read_of_write_equals_original(tmp_path_factory, data):
     write_csv(frame, path)
     back = read_csv(path, [("k", "int"), ("v", "num"), ("t", "time"), ("s", "str")])
     assert back.equals(frame)
+    # bitwise, every NaN canonical: the reader returns what was written
+    for i in range(3):
+        assert back._columns[i].tobytes() == frame._columns[i].tobytes()
 
 
 def reference_join(left, right, keys, kind):

@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from riskforge.errors import ComponentOutOfRange
 from riskforge.harmonize import (DEFAULT_PLAUSIBILITY, PlausibilityRule,
-                                 _apply_rules_long, binary_flags,
+                                 _apply_rules_long, _pool_duplicate_measurements,
+                                 binary_flags,
                                  convert_temperature, derive_mbp,
                                  build_structured_features,
                                  fahrenheit_to_celsius, gcs_total, mean_bp,
@@ -185,6 +188,29 @@ class TestFlags:
         assert out.values("heart_failure").tolist() == [1.0, 0.0]
         assert out.values("diabetes").tolist() == [0.0, 1.0]
         assert out.values("dopamine").tolist() == [0.0, 1.0]
+
+
+class TestPooling:
+    # summed left to right, these readings give two different totals
+    READINGS = (31.0, 31.1, 31.2)
+
+    def pooled(self, readings):
+        events = make_frame(stay_id=("int", [7.0] * len(readings)),
+                            variable=("str", ["hr"] * len(readings)),
+                            charttime=("time", [HOUR] * len(readings)),
+                            valuenum=("num", list(readings)))
+        return _pool_duplicate_measurements(events, "stay_id")
+
+    def test_three_tied_readings_pool_alike_in_every_order(self):
+        orders = list(itertools.permutations(self.READINGS))
+        assert len({(a + b) + c for a, b, c in orders}) > 1
+        means = {self.pooled(order).values("valuenum")[0] for order in orders}
+        assert means == {np.mean(sorted(self.READINGS))}
+
+    def test_one_row_per_stay_variable_and_time(self):
+        out = self.pooled(self.READINGS)
+        assert out.n_rows == 1
+        assert out.values("charttime").tolist() == [HOUR]
 
 
 class TestStructuredFeatures:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from riskforge.config import RunConfig
-from riskforge.frame import read_csv
+from riskforge.frame import read_csv, read_header
 from riskforge.pipeline import STAGES, _features_schema, run_stage
 
 
@@ -62,7 +62,7 @@ class TestArtifacts:
 
     def test_structured_features_panel_complete(self, small_run):
         path = os.path.join(small_run.out_dir, "structured_features.csv")
-        frame = read_csv(path, _features_schema(path))
+        frame = read_csv(path, _features_schema(read_header(path)))
         vitals = ["hr", "sbp", "dbp", "mbp", "rr", "bt", "spo2"]
         labs = ["hematocrit", "hemoglobin", "platelet", "wbc", "pt", "inr",
                 "creatinine", "bun", "glucose", "potassium", "sodium",
@@ -81,7 +81,7 @@ class TestArtifacts:
 
     def test_plausibility_rules_hold_in_features(self, small_run):
         path = os.path.join(small_run.out_dir, "structured_features.csv")
-        frame = read_csv(path, _features_schema(path))
+        frame = read_csv(path, _features_schema(read_header(path)))
         from riskforge.harmonize import DEFAULT_PLAUSIBILITY
         by_var = {r.variable: r for r in DEFAULT_PLAUSIBILITY}
         for base in ("wbc", "glucose", "lactate", "hr"):
@@ -95,7 +95,7 @@ class TestArtifacts:
     def test_imputed_frames_complete(self, small_run):
         for k in (1, 2):
             path = os.path.join(small_run.out_dir, f"imputed_{k}.csv")
-            frame = read_csv(path, _features_schema(path))
+            frame = read_csv(path, _features_schema(read_header(path)))
             for name in frame.names:
                 if frame.kind(name) == "num":
                     assert not frame.mask(name).any(), name
