@@ -38,7 +38,7 @@ class MissingDischtime(RiskforgeError):
 
 
 class DuplicateCohortRow(RiskforgeError):
-    """A subject reaches the final cohort twice, from a repeated input row."""
+    """A subject, admission or stay names two cohort rows (a repeated input row)."""
 
 
 # --- harmonization ---

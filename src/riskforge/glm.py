@@ -17,11 +17,13 @@ from .errors import Separation, SingularHessian
 Z95 = 1.959964
 
 # collinear pairs resolved by preference: (kept, dropped)
-DEFAULT_PREFERENCES = (
+VIF_PREFERENCES = (
     ("pt", "inr"),
     ("hemoglobin", "hematocrit"),
     ("mbp", "dbp"),
 )
+VIF_WARN, VIF_DROP = 5.0, 10.0  # a VIF above which a column is warned about, dropped
+SCREEN_ALPHA = 0.05  # univariate significance level
 
 
 def sigmoid(eta):
@@ -171,14 +173,14 @@ class ScreenRow:
     note: str = ""
 
 
-def univariate_screen(fm, y, alpha=0.05):
-    """Single-predictor logistic fit per column; significance at p < alpha."""
+def univariate_screen(fm, y):
+    """Single-predictor logistic fit per column; significance at p < SCREEN_ALPHA."""
     rows = []
     for j, name in enumerate(fm.names):
         try:
             fit = fit_logistic(fm.X[:, j], y, names=[name])
             rows.append(ScreenRow(name, float(fit.coef[1]), float(fit.p[1]),
-                                  bool(fit.p[1] < alpha)))
+                                  bool(fit.p[1] < SCREEN_ALPHA)))
         except Separation as exc:
             rows.append(ScreenRow(name, float(exc.fit.coef[1]), float("nan"),
                                   False, "separation"))
@@ -215,13 +217,13 @@ def _vif_values(X):
     return out
 
 
-def vif(fm, *, warn_threshold=5.0, drop_threshold=10.0,
-        preferences=DEFAULT_PREFERENCES):
+def vif(fm):
     """Iterative collinearity resolution by variance inflation factor.
 
-    While any VIF exceeds ``drop_threshold``: drop the non-preferred member
-    of a configured pair when one is implicated, otherwise the max-VIF
-    column. Constant columns report VIF = inf and drop first.
+    While any VIF exceeds ``VIF_DROP``: drop the non-preferred member of a
+    ``VIF_PREFERENCES`` pair when one is implicated, otherwise the max-VIF
+    column. Constant columns report VIF = inf and drop first. Kept columns
+    above ``VIF_WARN`` are warned about.
     """
     names = list(fm.names)
     X = fm.X.copy()
@@ -233,7 +235,7 @@ def vif(fm, *, warn_threshold=5.0, drop_threshold=10.0,
             break
         v = _vif_values(X)
         vals = dict(zip(names, v))
-        over = [n for n in names if vals[n] > drop_threshold or not np.isfinite(vals[n])]
+        over = [n for n in names if vals[n] > VIF_DROP or not np.isfinite(vals[n])]
         if not over:
             break
         drop_name, kept_instead, reason = None, "", ""
@@ -242,8 +244,8 @@ def vif(fm, *, warn_threshold=5.0, drop_threshold=10.0,
         if const:
             drop_name, reason = const[0], "constant column"
         else:
-            for kept, dropped in preferences:
-                if kept in names and dropped in names and vals[dropped] > drop_threshold:
+            for kept, dropped in VIF_PREFERENCES:
+                if kept in names and dropped in names and vals[dropped] > VIF_DROP:
                     drop_name, kept_instead, reason = dropped, kept, f"preferred {kept}"
                     break
             if drop_name is None:
@@ -254,9 +256,9 @@ def vif(fm, *, warn_threshold=5.0, drop_threshold=10.0,
         j = names.index(drop_name)
         names.pop(j)
         X = np.delete(X, j, axis=1)
-    warned = [n for n in names if vals[n] > warn_threshold]
+    warned = [n for n in names if vals[n] > VIF_WARN]
     if warned:
-        warnings.warn(f"VIF above {warn_threshold} for: {', '.join(warned)}")
+        warnings.warn(f"VIF above {VIF_WARN} for: {', '.join(warned)}")
     vals.update(at_drop)
     return VifReport({n: vals[n] for n in fm.names}, drops, names, warned)
 

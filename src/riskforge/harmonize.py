@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComponentOutOfRange
+from .errors import ComponentOutOfRange, DuplicateCohortRow
 from .frame import (JoinSpec, PatientFrame, aggregate_by_key, index_of, join,
                     segment_means)
 
@@ -131,18 +131,23 @@ def mean_bp(sbp, dbp):
     return (np.asarray(sbp, dtype=float) + 2.0 * np.asarray(dbp, dtype=float)) / 3.0
 
 
-def window_24h(events, stays, *, key="stay_id", time_column="charttime"):
+def window_24h(events, stays, *, key="stay_id"):
     """Keep events with intime <= charttime < intime + 24h.
 
-    Events whose key has no stay are unlinked: dropped and counted. Returns
-    (frame, dropped_unlinked_count).
+    Each event looks its ``key`` up in ``stays``, whose keys must be unique
+    (DuplicateCohortRow). Events whose key names no stay, or a stay without
+    an intime, are unlinked: dropped and counted. Returns (kept rows of
+    ``events`` in their order, unlinked count).
     """
-    linked = join(events, stays.select([key, "intime"]), JoinSpec((key,), "left"))
-    it = linked.values("intime")
-    ct = linked.values(time_column)
-    unlinked = int(np.isnan(it).sum())
-    ok = (ct >= it) & (ct < it + WINDOW_SECONDS)
-    return linked.filter(ok).drop(["intime"]), unlinked
+    keys = stays.values(key)
+    live, counts = np.unique(keys[~np.isnan(keys)], return_counts=True)
+    if (counts > 1).any():
+        raise DuplicateCohortRow(f"{key} {live[counts > 1][0]:.0f} names more than one stay")
+    # -1 (no stay) picks the NaN appended to the intimes
+    intime = np.append(stays.values("intime"), np.nan)[index_of(keys, events.values(key))]
+    ct = events.values("charttime")
+    unlinked = int(np.isnan(intime).sum())
+    return events.filter((ct >= intime) & (ct < intime + WINDOW_SECONDS)), unlinked
 
 
 def gcs_total(eye, verbal, motor):
@@ -214,7 +219,7 @@ def _pool_duplicate_measurements(events, key):
     ])
 
 
-def aggregate_variables(events, key, variables, stats=("mean", "min", "max")):
+def aggregate_variables(events, key, variables):
     """Per-key mean/min/max of each long-format variable; wide output frame.
 
     Keys ascend. One group-by over the key-sorted events, with one column per
@@ -225,7 +230,7 @@ def aggregate_variables(events, key, variables, stats=("mean", "min", "max")):
     vals = events.values("valuenum")
     wide = [(key, "int", events.values(key))]
     wide += [(name, "num", np.where(var == name, vals, np.nan)) for name in variables]
-    return aggregate_by_key(PatientFrame.from_columns(wide), key, list(stats),
+    return aggregate_by_key(PatientFrame.from_columns(wide), key, ["mean", "min", "max"],
                             columns=list(variables))
 
 
@@ -253,8 +258,6 @@ def binary_flags(diagnoses, proc_events, input_events, cohort):
         flags[name][row[ok][hit[inv]]] = 1.0
 
     def mark(events, item_sets):
-        if events is None or events.n_rows == 0:
-            return
         row = index_of(cohort.values("stay_id"), events.values("stay_id"))
         item = events.values("itemid")
         for name, items in item_sets:
@@ -277,15 +280,13 @@ def build_structured_features(chartevents, labevents, diagnoses, proc_events,
     """
     report = {"unlinked": {}, "plausibility": {}}
 
-    stays = cohort.select(["stay_id", "intime"])
-    chart_w, unlinked_chart = window_24h(chartevents, stays, key="stay_id")
+    chart_w, unlinked_chart = window_24h(chartevents, cohort, key="stay_id")
     report["unlinked"]["chartevents"] = unlinked_chart
     chart_vars = _events_to_variables(chart_w)
     chart_vars = _pool_duplicate_measurements(chart_vars, "stay_id")
     chart_vars, chart_counts = _apply_rules_long(chart_vars, rules)
 
-    lab_stays = cohort.select(["hadm_id", "intime"])
-    labs_w, unlinked_labs = window_24h(labevents, lab_stays, key="hadm_id")
+    labs_w, unlinked_labs = window_24h(labevents, cohort, key="hadm_id")
     report["unlinked"]["labevents"] = unlinked_labs
     lab_names = _item_names(labs_w.values("itemid"), LAB_ITEMS)
     labs_long = labs_w.filter(lab_names != "")

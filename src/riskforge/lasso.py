@@ -21,6 +21,7 @@ from .errors import DegenerateFold, NonConvergence
 MAX_ITER = 100_000
 CV_MAX_ITER = 1000
 CV_COEF_CAP = 30.0
+GRID_RATIO = 1e-4  # a grid's smallest penalty over its largest
 RULES = ("min", "1se", "pct75")
 
 
@@ -70,8 +71,9 @@ def fit_lasso(X, y, lam):
     return b0, beta
 
 
-def default_grid(lmax, size=100, ratio=1e-4):
-    return np.exp(np.linspace(math.log(lmax), math.log(lmax * ratio), size))
+def default_grid(lmax, size):
+    """``size`` penalties, log-spaced from ``lmax`` down to GRID_RATIO * lmax."""
+    return np.exp(np.linspace(math.log(lmax), math.log(lmax * GRID_RATIO), size))
 
 
 def fold_assignments(y, n_folds, seed, keys=None):

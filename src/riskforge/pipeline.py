@@ -206,9 +206,8 @@ def run_features(cfg):
     procs = _read_input(cfg, "procedureevents", "features").rename({"starttime": "charttime"})
     inputs = _read_input(cfg, "inputevents", "features").rename({"starttime": "charttime"})
 
-    stays = cohort.select(["stay_id", "intime"])
-    procs_w, _ = window_24h(procs, stays, key="stay_id")
-    inputs_w, _ = window_24h(inputs, stays, key="stay_id")
+    procs_w, _ = window_24h(procs, cohort, key="stay_id")
+    inputs_w, _ = window_24h(inputs, cohort, key="stay_id")
 
     rules = effective_plausibility(cfg)
     features, report = build_structured_features(
@@ -269,21 +268,18 @@ def run_text(cfg):
     for prefix, source, kind in text_mod.TEXT_BLOCKS:
         if source == "tfidf":
             notes = _read_input(cfg, kind, "text")
-            records, coverage = text_mod.select_notes(notes, cohort, kind)
+            ids, texts, coverage = text_mod.select_notes(notes, cohort, kind)
             coverage_rows.append((kind, coverage.covered, coverage.total, str(coverage)))
-            docs = [text_mod.normalize_text(r.text) for r in records]
+            docs = [text_mod.normalize_text(t) for t in texts]
             model = text_mod.fit_tfidf(docs, cfg.vocab_size)
-            hadms = [r.hadm_id for r in records]
             matrix = text_mod.corpus_matrix(model, docs)
             method, target = "svd", cfg.svd_target
         else:
             emb_path = _need(os.path.join(cfg.data_dir, f"{kind}_emb.csv"), "text")
-            vectors, dim = text_mod.read_embeddings(emb_path)
-            hadms = sorted(vectors)
-            matrix = np.vstack([vectors[h] for h in hadms]) if hadms else np.zeros((0, dim))
+            ids, matrix = text_mod.read_embeddings(emb_path)
             method, target = "pca", cfg.pca_target
         basis = text_mod.fit_reduced_basis(matrix, method, target)
-        blocks[prefix] = (dict(zip(hadms, basis.transform(matrix))), basis.retained)
+        blocks[prefix] = (ids, basis.transform(matrix))
         outs.append(_atomic(cfg, f"{prefix}.basis.csv",
                             lambda tmp: text_mod.save_basis(basis, tmp)))
         if source == "tfidf":

@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import OutOfRange, SingleClass, TooFewRows
 
+THRESHOLD = 0.5  # threshold_metrics predicts the positive class at prob >= THRESHOLD
+
 
 @dataclass(frozen=True)
 class News2Input:
@@ -189,11 +191,11 @@ def decision_curve(probs, y, grid=None):
     return DcaCurve(grid, nb, nb_all, nb_none, snb, snb_all, prev)
 
 
-def threshold_metrics(probs, y, t=0.5):
-    """Accuracy, positive-class F1, and positive-class recall at prob >= t."""
+def threshold_metrics(probs, y):
+    """Accuracy, positive-class F1, and positive-class recall at prob >= THRESHOLD."""
     probs = np.asarray(probs, dtype=float)
     y = np.asarray(y, dtype=float)
-    pred = probs >= t
+    pred = probs >= THRESHOLD
     tp = float((pred & (y == 1)).sum())
     fp = float((pred & (y == 0)).sum())
     fn = float((~pred & (y == 1)).sum())

@@ -7,15 +7,19 @@ sparse term weights (no centering), PCA for dense note embeddings
 (column-mean centering). Both are cut from one exact dense thin SVD: the
 variance targets keep a large share of each block's columns (vocabulary
 size or embedding width), where an iterative truncated solver saves
-nothing. Admissions without a note get exact zero vectors in the reduced
-space plus a presence indicator column.
+nothing; a basis needs at least two rows. A text block is a pair
+(hadm_ids ascending, matrix with one row per id), from ``select_notes``
+or ``read_embeddings`` through the reduction; ``apply_text_block`` places
+its rows on the cohort through ``frame.index_of``. Admissions without a
+note get exact zero vectors in the reduced space plus a presence indicator
+column.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, EmptyCorpus, IoFailure
+from .errors import ConvergenceFailure, EmptyCorpus, IoFailure, TooFewRows
 from .frame import PatientFrame, index_of, read_csv, read_header, write_csv
 
 # 174 common English function words; negation terms ("no", "not", "nor")
@@ -38,14 +42,6 @@ would y you your yours yourself yourselves
 
 
 @dataclass
-class NoteRecord:
-    hadm_id: int
-    kind: str
-    charttime: float
-    text: str
-
-
-@dataclass
 class CoverageReport:
     kind: str
     covered: int
@@ -63,7 +59,7 @@ def select_notes(notes, cohort, kind):
     """At most one note per cohort admission: the earliest charttime.
 
     An undated note loses to a dated one; among equal times the earlier row
-    wins. Returns (records sorted by hadm_id, CoverageReport).
+    wins. Returns (hadm_ids ascending, their notes' texts, CoverageReport).
     """
     cohort_hadm = np.unique(cohort.values("hadm_id").astype(int))
     hadm = notes.values("hadm_id")
@@ -71,13 +67,9 @@ def select_notes(notes, cohort, kind):
     t = np.where(np.isnan(ct), np.inf, ct)
     live = np.flatnonzero(np.isin(hadm, cohort_hadm))
     rows = live[np.lexsort((t[live], hadm[live]))]  # stable: ties keep row order
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = hadm[rows][1:] != hadm[rows][:-1]
-    rows = rows[first]
-    text = notes.values("text")
-    records = [NoteRecord(int(h), kind, float(c), str(x))
-               for h, c, x in zip(hadm[rows], t[rows], text[rows])]
-    return records, CoverageReport(kind, len(records), len(cohort_hadm))
+    rows = rows[np.unique(hadm[rows], return_index=True)[1]]  # each id's first row
+    return (hadm[rows], notes.values("text")[rows].tolist(),
+            CoverageReport(kind, len(rows), len(cohort_hadm)))
 
 
 def normalize_text(text):
@@ -161,15 +153,15 @@ def fit_reduced_basis(matrix, kind, target_variance):
     """
     if not 0.0 < target_variance <= 1.0:
         raise ValueError("target_variance must be in (0, 1]")
+    if kind not in ("svd", "pca"):
+        raise ValueError(f"unknown reduction kind {kind!r}")
     M = np.asarray(matrix, dtype=float)
     if M.shape[0] < 2:
-        raise ValueError("need at least 2 rows")
+        raise TooFewRows(f"a {kind} basis needs at least 2 rows, got {M.shape[0]}")
     center = None
     if kind == "pca":
         center = M.mean(axis=0)
         M = M - center
-    elif kind != "svd":
-        raise ValueError(f"unknown reduction kind {kind!r}")
 
     total = float(np.sum(M * M))
     if total <= 0.0:
@@ -199,9 +191,11 @@ INDICATORS = {"discharge": "has_discharge_note", "radiology": "has_radiology_not
 def apply_text_block(cohort, blocks):
     """Append reduced text features to the cohort, zero-filling absent notes.
 
-    ``blocks`` maps a column prefix to (hadm_id -> reduced vector, dim).
-    Missing-note zero vectors live in the reduced space, so they project to
-    exactly zero regardless of centering. Adds the ``INDICATORS`` columns.
+    ``blocks`` maps a column prefix to (hadm_ids ascending, reduced matrix
+    with one row per id); each cohort row finds its id's row through
+    ``index_of``. Missing-note zero vectors live in the reduced space, so
+    they project to exactly zero regardless of centering. Adds the
+    ``INDICATORS`` columns.
     """
     hadm = cohort.values("hadm_id")
     spec = [("hadm_id", cohort.kind("hadm_id"), hadm)]
@@ -209,13 +203,11 @@ def apply_text_block(cohort, blocks):
     for prefix, _, modality in TEXT_BLOCKS:
         if prefix not in blocks:
             continue
-        vectors, dim = blocks[prefix]
-        row = index_of(np.fromiter(vectors, dtype=float, count=len(vectors)), hadm)
-        mat = np.zeros((len(hadm), dim))
-        if vectors:
-            mat[row >= 0] = np.array(list(vectors.values()), dtype=float)[row[row >= 0]]
+        ids, reduced = blocks[prefix]
+        row = index_of(ids, hadm)
+        mat = np.vstack([reduced, np.zeros(reduced.shape[1])])[row]  # -1: the zero row
         presence[modality][row >= 0] = 1.0
-        spec += [(f"{prefix}_{j + 1}", "num", mat[:, j]) for j in range(dim)]
+        spec += [(f"{prefix}_{j + 1}", "num", mat[:, j]) for j in range(mat.shape[1])]
     spec += [(name, "int", presence[modality]) for modality, name in INDICATORS.items()]
     return PatientFrame.from_columns(spec)
 
@@ -231,24 +223,25 @@ def save_basis(basis, path):
         + [(f"v{j}", "num", mat[:, j]) for j in range(mat.shape[1])]), path)
 
 
-def load_basis(path, kind=None):
+def load_basis(path):
+    """A basis written by ``save_basis``: ``pca`` when it has a center row."""
     values = read_header(path)[3:]
     frame = read_csv(path, [("role", "str"), ("explained_ratio", "num")]
                      + [(v, "num") for v in values])
     mat = frame.matrix(values)
     is_center = frame.values("role") == "center"
     center = mat[is_center][-1] if is_center.any() else None
-    if kind is None:
-        kind = "pca" if center is not None else "svd"
+    kind = "pca" if center is not None else "svd"
     return ReducedBasis(kind, mat[~is_center], frame.values("explained_ratio")[~is_center],
                         center, int((~is_center).sum()))
 
 
 def read_embeddings(path):
-    """CSV of hadm_id + dense embedding columns -> (hadm->vector dict, dim).
+    """CSV of hadm_id + dense embedding columns -> (hadm_ids ascending,
+    matrix with one row per id).
 
-    The first column must be hadm_id; a blank or non-numeric cell is an
-    IoFailure.
+    The first column must be hadm_id; a blank or non-numeric cell, or a
+    repeated hadm_id, is an IoFailure.
     """
     header = read_header(path)
     if header[:1] != ["hadm_id"]:
@@ -260,4 +253,7 @@ def read_embeddings(path):
     if bad.any():
         raise IoFailure(f"{path}: blank or non-numeric cell on data row "
                         f"{int(np.flatnonzero(bad)[0]) + 1}")
-    return dict(zip(hadm.astype(int).tolist(), mat)), len(header) - 1
+    ids, first, counts = np.unique(hadm, return_index=True, return_counts=True)
+    if (counts > 1).any():
+        raise IoFailure(f"{path}: hadm_id {ids[counts > 1][0]:.0f} appears more than once")
+    return ids, mat[first]

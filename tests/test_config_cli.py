@@ -1,5 +1,6 @@
 import csv
 import os
+import random
 import subprocess
 import sys
 
@@ -255,3 +256,39 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.count("\n") == 1 and f"hadm_id {hadm} " in err
+
+    def test_header_only_embedding_file_exits_1(self, tmp_path, capsys):
+        emb = self.prepared(tmp_path).with_name("radiology_emb.csv")
+        emb.write_text(emb.read_text().splitlines(keepends=True)[0])
+        capsys.readouterr()
+        rc, err = self.run_text(tmp_path, capsys)
+        assert rc == 1
+        assert err.count("\n") == 1 and "at least 2 rows, got 0" in err
+
+    def test_repeated_embedding_hadm_id_exits_1(self, tmp_path, capsys):
+        emb = self.prepared(tmp_path)
+        lines = emb.read_text().splitlines(keepends=True)
+        hadm = lines[3].split(",")[0]
+        emb.write_text("".join(lines) + hadm + lines[1][lines[1].index(","):])
+        capsys.readouterr()
+        rc, err = self.run_text(tmp_path, capsys)
+        assert rc == 1
+        assert err.count("\n") == 1 and f"hadm_id {hadm} " in err and "discharge_emb.csv" in err
+
+
+class TestEmbeddingRowOrder:
+    def test_shuffled_embedding_rows_write_the_same_bytes(self, tmp_path):
+        malformed = TestMalformedInputs()
+        emb = malformed.prepared(tmp_path)
+        cfg = str(TestCli().cfg_file(tmp_path))
+        assert main(["text", "--config", cfg]) == 0
+        written = ["text_features.csv", "discharge_bert_pca.basis.csv",
+                   "radiology_bert_pca.basis.csv"]
+        before = [(tmp_path / "out" / name).read_bytes() for name in written]
+        rng = random.Random(5)
+        for path in (emb, emb.with_name("radiology_emb.csv")):
+            header, *rows = path.read_text().splitlines(keepends=True)
+            rng.shuffle(rows)
+            path.write_text(header + "".join(rows))
+        assert main(["text", "--config", cfg]) == 0
+        assert [(tmp_path / "out" / name).read_bytes() for name in written] == before

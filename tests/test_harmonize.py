@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riskforge.errors import ComponentOutOfRange
+from riskforge.errors import ComponentOutOfRange, DuplicateCohortRow
+from riskforge.frame import JoinSpec, PatientFrame, join
 from riskforge.harmonize import (DEFAULT_PLAUSIBILITY, PlausibilityRule,
                                  _apply_rules_long, _pool_duplicate_measurements,
                                  binary_flags,
@@ -50,6 +51,103 @@ class TestWindow:
         stays = make_frame(stay_id=("int", [1.0]), intime=("num", [0.0]))
         out, dropped = window_24h(events, stays)
         assert out.n_rows == 0 and dropped == 1
+
+    def test_repeated_stay_key_raises(self):
+        events, _ = self.make([1.0])
+        stays = make_frame(stay_id=("int", [1.0, 2.0, 1.0]),
+                           intime=("num", [100000.0, 0.0, 200000.0]))
+        with pytest.raises(DuplicateCohortRow, match="stay_id 1 "):
+            window_24h(events, stays)
+
+    def test_repeated_missing_stay_key_is_no_stay(self):
+        events, _ = self.make([1.0])
+        stays = make_frame(stay_id=("int", [np.nan, 1.0, np.nan]),
+                           intime=("num", [0.0, 100000.0, 0.0]))
+        out, dropped = window_24h(events, stays)
+        assert out.n_rows == 1 and dropped == 0
+
+
+def reference_window(events, stays, key):
+    """The window as a left join of every event row to its stay's intime."""
+    linked = join(events, stays.select([key, "intime"]), JoinSpec((key,), "left"))
+    it = linked.values("intime")
+    ct = linked.values("charttime")
+    ok = (ct >= it) & (ct < it + 24 * HOUR)
+    return linked.filter(ok).drop(["intime"]), int(np.isnan(it).sum())
+
+
+# event times relative to a stay's intime: just before, at, inside, the
+# last second, exactly 24 h (outside) and after
+EDGE_OFFSETS = (-1.0, 0.0, 5 * HOUR, 24 * HOUR - 1.0, 24 * HOUR, 30 * HOUR)
+
+
+def random_window_case(rng, key):
+    """Unique stay keys (some missing, none repeated) with some missing
+    intimes, and events whose keys may name no stay or be missing, whose
+    times sit on the window's edges or are missing, with extra columns."""
+    n_stays = int(rng.integers(0, 6))
+    stay_keys = rng.permutation(np.arange(1.0, 9.0))[:n_stays]
+    stay_keys[rng.random(n_stays) < 0.15] = np.nan
+    intime = rng.integers(0, 3, n_stays) * 86400.0 + 1e6
+    intime[rng.random(n_stays) < 0.2] = np.nan
+    stays = PatientFrame.from_columns([
+        ("subject_id", "int", np.arange(n_stays, dtype=float)),
+        (key, "int", stay_keys), ("intime", "time", intime)])
+
+    n = int(rng.integers(0, 25))
+    keys = rng.integers(0, 10, n).astype(float)  # 0 and 9 never name a stay
+    keys[rng.random(n) < 0.1] = np.nan
+    bases = np.concatenate([intime, [1e6]])
+    times = rng.choice(bases, n) + rng.choice(EDGE_OFFSETS, n)
+    times[rng.random(n) < 0.1] = np.nan
+    columns = [(key, "int", keys), ("charttime", "time", times)]
+    if rng.random() < 0.7:
+        columns += [("itemid", "int", rng.integers(1, 4, n).astype(float)),
+                    ("valuenum", "num", np.where(rng.random(n) < 0.2, np.nan,
+                                                 rng.standard_normal(n))),
+                    ("valueuom", "str", rng.choice(["", "C", "mmHg"], n))]
+    rng.shuffle(columns)
+    return PatientFrame.from_columns(columns), stays
+
+
+class TestWindowAgainstJoin:
+    """The key lookup keeps the rows, in the order, that a left join of the
+    events to the stays and the same filter keep, and counts the same
+    unlinked rows."""
+
+    def test_random_cases_match_the_join(self):
+        rng = np.random.default_rng(2024)
+        kept = unlinked = 0
+        for trial in range(300):
+            key = ("stay_id", "hadm_id")[trial % 2]
+            events, stays = random_window_case(rng, key)
+            got, got_unlinked = window_24h(events, stays, key=key)
+            want, want_unlinked = reference_window(events, stays, key)
+            assert got.equals(want), trial
+            assert got_unlinked == want_unlinked, trial
+            kept += got.n_rows
+            unlinked += got_unlinked
+        assert kept > 100 and unlinked > 100
+
+    def test_edges_of_the_window(self):
+        stays = make_frame(stay_id=("int", [1.0, 2.0]), intime=("time", [1e6, np.nan]))
+        times = [1e6 + o for o in EDGE_OFFSETS]
+        events = make_frame(stay_id=("int", [1.0] * len(times) + [2.0, np.nan, 3.0]),
+                            charttime=("time", times + [1e6, 1e6, 1e6]))
+        got, got_unlinked = window_24h(events, stays)
+        want, want_unlinked = reference_window(events, stays, "stay_id")
+        assert got.values("charttime").tolist() == [1e6, 1e6 + 5 * HOUR, 1e6 + 24 * HOUR - 1]
+        assert got.equals(want) and got_unlinked == want_unlinked == 3
+
+    def test_zero_events_and_zero_stays(self):
+        no_events = make_frame(stay_id=("int", []), charttime=("time", []))
+        stays = make_frame(stay_id=("int", [1.0]), intime=("time", [1e6]))
+        no_stays = make_frame(stay_id=("int", []), intime=("time", []))
+        events = make_frame(stay_id=("int", [1.0]), charttime=("time", [1e6]))
+        for ev, st in ((no_events, stays), (events, no_stays), (no_events, no_stays)):
+            got, got_unlinked = window_24h(ev, st)
+            want, want_unlinked = reference_window(ev, st, "stay_id")
+            assert got.equals(want) and got_unlinked == want_unlinked
 
 
 class TestTemperature:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riskforge.errors import ConvergenceFailure, EmptyCorpus
+from riskforge.errors import ConvergenceFailure, EmptyCorpus, TooFewRows
 from riskforge.text import (STOPWORDS, CoverageReport, apply_text_block,
                             corpus_matrix, fit_reduced_basis, fit_tfidf,
                             normalize_text, select_notes, transform_tfidf)
@@ -46,23 +46,22 @@ class TestSelectNotes:
         notes = make_frame(hadm_id=("int", [100.0, 100.0, 100.0]),
                            charttime=("num", [5.0, 2.0, 9.0]),
                            text=("str", ["late", "first", "last"]))
-        records, cov = select_notes(notes, self.cohort(), "radiology")
-        assert len(records) == 1
-        assert records[0].text == "first"
-        assert records[0].charttime == 2.0
+        ids, texts, cov = select_notes(notes, self.cohort(), "radiology")
+        assert ids.tolist() == [100.0]
+        assert texts == ["first"]
 
     def test_admission_without_note_in_coverage_gap(self):
         notes = make_frame(hadm_id=("int", [100.0]), charttime=("num", [1.0]),
                            text=("str", ["x"]))
-        records, cov = select_notes(notes, self.cohort(), "discharge")
-        assert len(records) == 1
+        ids, texts, cov = select_notes(notes, self.cohort(), "discharge")
+        assert len(ids) == len(texts) == 1
         assert cov.covered == 1 and cov.total == 2
 
     def test_non_cohort_notes_ignored(self):
         notes = make_frame(hadm_id=("int", [999.0]), charttime=("num", [1.0]),
                            text=("str", ["x"]))
-        records, cov = select_notes(notes, self.cohort(), "discharge")
-        assert records == [] and cov.covered == 0
+        ids, texts, cov = select_notes(notes, self.cohort(), "discharge")
+        assert len(ids) == 0 and texts == [] and cov.covered == 0
 
     def test_coverage_report_display_format(self):
         assert str(CoverageReport("discharge", 1618, 2307)) == "discharge 1618 (70.1%)"
@@ -213,7 +212,7 @@ class TestReducedBasis:
         for target in (0.0, 1.5):
             with pytest.raises(ValueError):
                 fit_reduced_basis(M, "svd", target)
-        with pytest.raises(ValueError):
+        with pytest.raises(TooFewRows):
             fit_reduced_basis(M[:1], "svd", 0.9)
         with pytest.raises(ValueError):
             fit_reduced_basis(M, "ica", 0.9)
@@ -223,8 +222,8 @@ class TestTextBlock:
     def test_absent_note_zero_vector_and_indicator(self):
         cohort = make_frame(hadm_id=("int", [100.0, 200.0]))
         blocks = {
-            "disch_tfidf_svd": ({100: np.array([0.5, -0.5])}, 2),
-            "discharge_bert_pca": ({100: np.array([1.0])}, 1),
+            "disch_tfidf_svd": (np.array([100.0]), np.array([[0.5, -0.5]])),
+            "discharge_bert_pca": (np.array([100.0]), np.array([[1.0]])),
         }
         out = apply_text_block(cohort, blocks)
         assert out.values("has_discharge_note").tolist() == [1.0, 0.0]
@@ -235,8 +234,8 @@ class TestTextBlock:
     def test_both_notes_present_both_indicators(self):
         cohort = make_frame(hadm_id=("int", [100.0]))
         blocks = {
-            "disch_tfidf_svd": ({100: np.array([1.0])}, 1),
-            "radio_tfidf_svd": ({100: np.array([2.0])}, 1),
+            "disch_tfidf_svd": (np.array([100.0]), np.array([[1.0]])),
+            "radio_tfidf_svd": (np.array([100.0]), np.array([[2.0]])),
         }
         out = apply_text_block(cohort, blocks)
         assert out.values("has_discharge_note").tolist() == [1.0]
@@ -246,7 +245,7 @@ class TestTextBlock:
         cohort = make_frame(hadm_id=("int", [100.0]))
         dims = {"disch_tfidf_svd": 136, "radio_tfidf_svd": 198,
                 "discharge_bert_pca": 113, "radiology_bert_pca": 115}
-        blocks = {k: ({}, d) for k, d in dims.items()}
+        blocks = {k: (np.zeros(0), np.zeros((0, d))) for k, d in dims.items()}
         out = apply_text_block(cohort, blocks)
         text_cols = out.n_cols - 1 - 2  # minus hadm_id and the two indicators
         assert text_cols == sum(dims.values()) == 562
@@ -290,8 +289,7 @@ class TestSelectNotesOrder:
             charttime=("num", [np.nan, 4.0, 4.0, 9.0, np.nan],
                        np.array([True, False, False, False, True])),
             text=("str", ["undated", "a", "b", "dated", "only"]))
-        records, cov = select_notes(notes, cohort, "discharge")
-        assert [r.hadm_id for r in records] == [100, 200, 300]
-        assert [r.text for r in records] == ["a", "dated", "only"]
-        assert records[2].charttime == float("inf")
+        ids, texts, cov = select_notes(notes, cohort, "discharge")
+        assert ids.tolist() == [100, 200, 300]
+        assert texts == ["a", "dated", "only"]
         assert cov.covered == 3 and cov.total == 3
