@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateCohortRow, EmptyCohortWarning, MissingDischtime, MissingIntime
-from .frame import JoinSpec, join
+from .errors import EmptyCohortWarning, MissingDischtime, MissingIntime
+from .frame import join
 
 CODE_COLUMN = "icd_code"
 AGE_COLUMN = "anchor_age"
@@ -99,25 +99,21 @@ def apply_age_filter(frame, cfg):
 
 
 def build_cohort(diagnoses, patients, icustays, admissions, cfg):
-    """Full cohort pipeline; one labeled record per subject, sorted by subject_id."""
+    """Full cohort pipeline; one labeled record per subject, sorted by subject_id.
+
+    Each stay looks up its admission's diagnosis match, then the first stay
+    of each subject looks up its patient and its admission; each of those
+    lookups needs unique keys (DuplicateCohortRow), so no subject can give
+    two records.
+    """
     matched = filter_by_diagnosis(diagnoses, cfg)
     matched = matched.select([c for c in ("subject_id", "hadm_id") if matched.has_column(c)])
-    linked = join(matched, icustays, JoinSpec(("subject_id", "hadm_id"), "inner"))
+    linked = join(icustays, matched, ["subject_id", "hadm_id"], "inner")
     first = first_icu_stay(linked)
-    with_age = join(first, patients.select(["subject_id", AGE_COLUMN]),
-                    JoinSpec(("subject_id",), "left"))
+    with_age = join(first, patients.select(["subject_id", AGE_COLUMN]), ["subject_id"], "left")
     adults = apply_age_filter(with_age, cfg)
     adm_cols = ["subject_id", "hadm_id", "dischtime"]
     if admissions.has_column("deathtime"):
         adm_cols.append("deathtime")
-    with_adm = join(adults, admissions.select(adm_cols),
-                    JoinSpec(("subject_id", "hadm_id"), "inner"))
-    labeled = label_mortality(with_adm)
-    labeled = labeled.sort_by(["subject_id"])
-    sid = labeled.values("subject_id")
-    repeated = np.flatnonzero(sid[1:] == sid[:-1])
-    if repeated.size:
-        hadm = labeled.values("hadm_id")[repeated[0]]
-        raise DuplicateCohortRow(f"hadm_id {hadm:.0f} gives more than one cohort row "
-                                 "(a repeated admissions or patients row)")
-    return labeled
+    with_adm = join(adults, admissions.select(adm_cols), ["subject_id", "hadm_id"], "inner")
+    return label_mortality(with_adm).sort_by(["subject_id"])

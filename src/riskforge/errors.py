@@ -15,10 +15,6 @@ class IoFailure(RiskforgeError):
     pass
 
 
-class KeyMissing(RiskforgeError):
-    pass
-
-
 class NonNumericColumn(RiskforgeError):
     pass
 
@@ -38,7 +34,7 @@ class MissingDischtime(RiskforgeError):
 
 
 class DuplicateCohortRow(RiskforgeError):
-    """A subject, admission or stay names two cohort rows (a repeated input row)."""
+    """Two rows of a table looked up by key share every key (a repeated input row)."""
 
 
 # --- harmonization ---

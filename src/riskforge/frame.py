@@ -31,7 +31,9 @@ block is joined with "," and "\\r\\n", which writes the same bytes. A
 CellCache passed to successive writes formats a column they share once
 and returns each table as read_csv would read it back.
 
-Joins and group-bys run on integer key codes from ``np.unique`` and
+A join is a lookup: each left row takes the one right row whose numeric
+keys all equal its own, found through ``index_of``, and a repeated right
+key is an error. Group-bys run on integer key codes from ``np.unique`` and
 stable sorts.
 """
 
@@ -40,12 +42,11 @@ import gc
 import itertools
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
 
-from .errors import IoFailure, KeyMissing, MissingColumn, NonNumericColumn
+from .errors import DuplicateCohortRow, IoFailure, MissingColumn, NonNumericColumn
 
 KINDS = ("num", "int", "str", "time")
 NUMERIC_KINDS = ("num", "int", "time")
@@ -71,18 +72,6 @@ def parse_time(text):
 
 def format_time(seconds):
     return (_EPOCH + timedelta(seconds=float(seconds))).strftime(TIME_FORMAT)
-
-
-@dataclass(frozen=True)
-class JoinSpec:
-    keys: tuple
-    kind: str = "inner"
-
-    def __post_init__(self):
-        if not self.keys:
-            raise ValueError("JoinSpec.keys must be non-empty")
-        if self.kind not in ("inner", "left"):
-            raise ValueError(f"unknown join kind {self.kind!r}")
 
 
 class PatientFrame:
@@ -446,12 +435,12 @@ def write_csv(frame, path, cache=None):
     return PatientFrame(names, kinds, back)
 
 
-# --- joins ---
+# --- key lookups ---
 
 
 def index_of(keys, wanted):
-    """Position in ``keys`` of each value of ``wanted``: -1 where absent,
-    the last position where a key repeats."""
+    """Position in ``keys`` of each value of ``wanted``: -1 where absent or
+    missing (a NaN equals nothing), the last position where a key repeats."""
     keys = np.asarray(keys, dtype=float)
     wanted = np.asarray(wanted, dtype=float)
     if keys.size == 0:
@@ -461,73 +450,64 @@ def index_of(keys, wanted):
     return np.where(keys[order][pos] == wanted, order[pos], -1)
 
 
-def _key_codes(left, right, keys):
-    """One integer per row of ``left`` then ``right``; two rows share a code
-    iff every key is equal. A row with a missing key gets -1."""
-    n_left, n = left.n_rows, left.n_rows + right.n_rows
-    codes = np.zeros(n, dtype=np.int64)
-    missing = np.zeros(n, dtype=bool)
-    for k in keys:
-        li, ri = left._col(k), right._col(k)
-        if (left._kinds[li] == "str") != (right._kinds[ri] == "str"):
-            # text never equals a number: put the two sides apart
-            vals = np.arange(n) >= n_left
-        else:
-            vals = np.concatenate([left._columns[li], right._columns[ri]])
-        missing |= np.concatenate([left.mask(k), right.mask(k)])
-        _, inv = np.unique(vals, return_inverse=True)
-        _, codes = np.unique(codes * (int(inv.max(initial=0)) + 1) + inv,
-                             return_inverse=True)
-    codes[missing] = -1
-    return codes
+def _position(keys, wanted):
+    """``index_of`` as floats, NaN where a wanted value is absent."""
+    pos = index_of(keys, wanted).astype(float)
+    pos[pos < 0] = np.nan
+    return pos
 
 
-def join(left, right, spec):
-    """Deterministic equi-join on shared key columns.
+def _row_codes(left, right, keys):
+    """One float per row of ``left`` and one per row of ``right``: equal
+    where every key is equal, NaN where a key is missing or names no right
+    row. Each key after the first pairs the position of a right row with
+    the same code so far and that of one with the same value, so only the
+    right side is searched and no code reaches its row count squared."""
+    lcode, rcode = left.values(keys[0]), right.values(keys[0])
+    for k in keys[1:]:
+        values = right.values(k)
+        lcode = _position(rcode, lcode) * right.n_rows + _position(values, left.values(k))
+        rcode = _position(rcode, rcode) * right.n_rows + _position(values, values)
+    return lcode, rcode
 
-    Output rows follow the left rows in order, each left row followed by its
-    matching right rows in right-row order. Inner join drops unmatched left
-    rows; left join keeps them with every right-side cell missing: NaN in a
-    numeric column, "" in a text one. Right key columns are dropped (values
-    equal the left's by construction); other right columns colliding with a
-    left name get a ``_r`` suffix. Rows with a missing key never match.
+
+def require_unique(frame, keys):
+    """Raise DuplicateCohortRow, naming every key and its value, where two
+    rows of ``frame`` share all ``keys``. A row with a missing key names no
+    row, so it never repeats."""
+    code = _row_codes(frame, frame, keys)[1]
+    last = index_of(code, code)
+    repeated = np.flatnonzero((last >= 0) & (last != np.arange(frame.n_rows)))
+    if repeated.size:
+        named = ", ".join(f"{k} {frame.values(k)[repeated[0]]:.0f}" for k in keys)
+        raise DuplicateCohortRow(f"{named} names more than one row (a repeated input row)")
+
+
+def join(left, right, keys, how):
+    """Each left row with the columns of the one right row whose ``keys``,
+    numeric columns, all equal its own, looked up through ``index_of``.
+
+    The right keys must be unique (``require_unique``). ``inner`` drops a
+    left row that has no match; ``left`` keeps it, with every right-side
+    cell missing: NaN in a numeric column, "" in a text one. A row with a
+    missing key never matches. Rows keep the left order; the columns are
+    the left's followed by the right's non-key ones, and a right column
+    that shares a left name is a ValueError.
     """
-    for k in spec.keys:
-        if not left.has_column(k):
-            raise KeyMissing(f"left frame lacks key {k!r}")
-        if not right.has_column(k):
-            raise KeyMissing(f"right frame lacks key {k!r}")
-
-    codes = _key_codes(left, right, spec.keys)
-    lcode, rcode = codes[:left.n_rows], codes[left.n_rows:]
-    order = np.argsort(rcode, kind="stable")
-    order = order[rcode[order] >= 0]
-    lo = np.searchsorted(rcode[order], lcode, side="left")
-    count = np.searchsorted(rcode[order], lcode, side="right") - lo
-    rows_out = count if spec.kind == "inner" else np.maximum(count, 1)
-    left_rows = np.repeat(np.arange(left.n_rows), rows_out)
-    offset = np.arange(len(left_rows)) - np.repeat(np.cumsum(rows_out) - rows_out, rows_out)
-    matched = np.repeat(count > 0, rows_out)
-    # -1 marks no match; it picks the blank cell appended to each right column
-    right_rows = np.full(len(left_rows), -1)
-    right_rows[matched] = order[(np.repeat(lo, rows_out) + offset)[matched]]
-
-    names = list(left._names)
-    kinds = list(left._kinds)
-    cols = [c[left_rows] for c in left._columns]
-
-    taken = set(names)
-    for i, rname in enumerate(right._names):
-        if rname in spec.keys:
-            continue
-        out_name = rname
-        while out_name in taken:
-            out_name = out_name + "_r"
-        taken.add(out_name)
-        blank = "" if right._kinds[i] == "str" else np.nan
-        names.append(out_name)
-        kinds.append(right._kinds[i])
-        cols.append(np.append(right._columns[i], blank)[right_rows])
+    if how not in ("inner", "left"):
+        raise ValueError(f"unknown join kind {how!r}")
+    lcode, rcode = _row_codes(left, right, keys)
+    require_unique(right, keys)
+    row = index_of(rcode, lcode)
+    if how == "inner":
+        left, row = left.filter(row >= 0), row[row >= 0]
+    names, kinds, cols = list(left._names), list(left._kinds), list(left._columns)
+    for name, kind, col in zip(right._names, right._kinds, right._columns):
+        if name not in keys:
+            names.append(name)
+            kinds.append(kind)
+            # -1 (no match) picks the blank cell appended to the column
+            cols.append(np.append(col, "" if kind == "str" else np.nan)[row])
     return PatientFrame(names, kinds, cols)
 
 

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import Separation, SingularHessian
 
 Z95 = 1.959964
+# Newton stops once every score component is below this
+SCORE_TOL = 1e-8
 
 # collinear pairs resolved by preference: (kept, dropped)
 VIF_PREFERENCES = (
@@ -80,11 +82,10 @@ def _design(X):
     return np.hstack([np.ones((X.shape[0], 1)), X])
 
 
-def fit_logistic(X, y, *, names=None, max_iter=100, tol=1e-8,
-                 raise_on_separation=True):
+def fit_logistic(X, y, *, names=None, max_iter=100, raise_on_separation=True):
     """Newton/IRLS fit of P(y=1) = sigmoid(b0 + X b).
 
-    Iterates until the score max-norm drops below ``tol``. Standard errors
+    Iterates until the score max-norm drops below ``SCORE_TOL``. Standard errors
     come from the inverse observed information at the solution. Perfect
     separation raises ``Separation`` carrying the non-converged fit (or
     returns it when ``raise_on_separation`` is false). A singular Hessian is
@@ -106,7 +107,7 @@ def fit_logistic(X, y, *, names=None, max_iter=100, tol=1e-8,
         eta = Z @ beta
         p = sigmoid(eta)
         score = Z.T @ (y - p)
-        if np.max(np.abs(score)) < tol:
+        if np.max(np.abs(score)) < SCORE_TOL:
             converged = True
             break
         if np.all(np.abs(y - p) < 1e-7):

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComponentOutOfRange, DuplicateCohortRow
-from .frame import (JoinSpec, PatientFrame, aggregate_by_key, index_of, join,
+from .errors import ComponentOutOfRange
+from .frame import (PatientFrame, aggregate_by_key, index_of, join, require_unique,
                     segment_means)
 
 WINDOW_SECONDS = 24 * 3600.0
@@ -139,12 +139,10 @@ def window_24h(events, stays, *, key="stay_id"):
     an intime, are unlinked: dropped and counted. Returns (kept rows of
     ``events`` in their order, unlinked count).
     """
-    keys = stays.values(key)
-    live, counts = np.unique(keys[~np.isnan(keys)], return_counts=True)
-    if (counts > 1).any():
-        raise DuplicateCohortRow(f"{key} {live[counts > 1][0]:.0f} names more than one stay")
+    require_unique(stays, [key])
     # -1 (no stay) picks the NaN appended to the intimes
-    intime = np.append(stays.values("intime"), np.nan)[index_of(keys, events.values(key))]
+    row = index_of(stays.values(key), events.values(key))
+    intime = np.append(stays.values("intime"), np.nan)[row]
     ct = events.values("charttime")
     unlinked = int(np.isnan(intime).sum())
     return events.filter((ct >= intime) & (ct < intime + WINDOW_SECONDS)), unlinked
@@ -302,9 +300,9 @@ def build_structured_features(chartevents, labevents, diagnoses, proc_events,
     flags = binary_flags(diagnoses, proc_events, input_events, cohort)
 
     out = cohort.select(["subject_id", "hadm_id", "stay_id", "anchor_age", "in_hospital_death"])
-    out = join(out, vital_agg, JoinSpec(("stay_id",), "left"))
-    out = join(out, lab_agg, JoinSpec(("hadm_id",), "left"))
-    out = join(out, flags, JoinSpec(("stay_id",), "left"))
+    out = join(out, vital_agg, ["stay_id"], "left")
+    out = join(out, lab_agg, ["hadm_id"], "left")
+    out = join(out, flags, ["stay_id"], "left")
 
     parts = out.matrix(["gcs_eye_mean", "gcs_verbal_mean", "gcs_motor_mean"])
     live = ~np.isnan(parts).any(axis=1)

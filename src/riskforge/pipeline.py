@@ -31,8 +31,8 @@ import numpy as np
 from . import design, gbt, glm, impute, lasso, svgplot, text as text_mod
 from .config import stage_seed
 from .cohort import CohortConfig, build_cohort
-from .errors import MissingArtifact, SingularHessian
-from .frame import (CellCache, JoinSpec, PatientFrame, join, read_csv, read_header,
+from .errors import MissingArtifact, SingularHessian, TooFewRows
+from .frame import (CellCache, PatientFrame, join, read_csv, read_header,
                     write_csv)
 from .harmonize import (DEFAULT_PLAUSIBILITY, FLAG_NAMES, PlausibilityRule,
                         build_structured_features, fahrenheit_to_celsius, window_24h)
@@ -206,12 +206,13 @@ def run_features(cfg):
     procs = _read_input(cfg, "procedureevents", "features").rename({"starttime": "charttime"})
     inputs = _read_input(cfg, "inputevents", "features").rename({"starttime": "charttime"})
 
-    procs_w, _ = window_24h(procs, cohort, key="stay_id")
-    inputs_w, _ = window_24h(inputs, cohort, key="stay_id")
+    procs_w, unlinked_procs = window_24h(procs, cohort, key="stay_id")
+    inputs_w, unlinked_inputs = window_24h(inputs, cohort, key="stay_id")
 
     rules = effective_plausibility(cfg)
     features, report = build_structured_features(
         chart, labs, diagnoses, procs_w, inputs_w, cohort, rules)
+    report["unlinked"].update(procedureevents=unlinked_procs, inputevents=unlinked_inputs)
     counts = [("unlinked", k, v) for k, v in sorted(report["unlinked"].items())]
     counts += [("plausibility_removed", k, v) for k, v in sorted(report["plausibility"].items())]
     return [
@@ -266,6 +267,9 @@ def run_text(cfg):
     outs = []
 
     for prefix, source, kind in text_mod.TEXT_BLOCKS:
+        # the input the block is made from, named when it has too few rows
+        name = f"{kind}.csv" if source == "tfidf" else f"{kind}_emb.csv"
+        path = os.path.join(cfg.data_dir, name)
         if source == "tfidf":
             notes = _read_input(cfg, kind, "text")
             ids, texts, coverage = text_mod.select_notes(notes, cohort, kind)
@@ -275,10 +279,12 @@ def run_text(cfg):
             matrix = text_mod.corpus_matrix(model, docs)
             method, target = "svd", cfg.svd_target
         else:
-            emb_path = _need(os.path.join(cfg.data_dir, f"{kind}_emb.csv"), "text")
-            ids, matrix = text_mod.read_embeddings(emb_path)
+            ids, matrix = text_mod.read_embeddings(_need(path, "text"))
             method, target = "pca", cfg.pca_target
-        basis = text_mod.fit_reduced_basis(matrix, method, target)
+        try:
+            basis = text_mod.fit_reduced_basis(matrix, method, target)
+        except TooFewRows as exc:
+            raise TooFewRows(f"{path}: {exc}") from None
         blocks[prefix] = (ids, basis.transform(matrix))
         outs.append(_atomic(cfg, f"{prefix}.basis.csv",
                             lambda tmp: text_mod.save_basis(basis, tmp)))
@@ -310,7 +316,7 @@ def _load_matrices(cfg, stage, m):
     mats = [design.from_frame(f, feature_names) for f in imputed]
 
     tf = _load(cfg, "text_features.csv", stage)
-    aligned = join(base.select(["hadm_id"]), tf, JoinSpec(("hadm_id",), "left"))
+    aligned = join(base.select(["hadm_id"]), tf, ["hadm_id"], "left")
     text_names = [n for n in aligned.names if n != "hadm_id"]
     text_fm = design.from_frame(aligned, text_names)
 

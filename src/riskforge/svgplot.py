@@ -50,8 +50,8 @@ def _nice_ticks(lo, hi, n=5):
 
 
 def line_chart(path, series, *, title="", xlabel="", ylabel="",
-               vlines=(), hlines=(), diagonal=False, ylim=None):
-    """Write a line chart; ``vlines``/``hlines`` are (value, label) pairs."""
+               vlines=(), diagonal=False, ylim=None):
+    """Write a line chart; ``vlines`` are (value, label) pairs."""
     xs_all = [x for s in series for x in s.xs]
     ys_all = [y for s in series for y in s.ys if math.isfinite(y)]
     if not xs_all:
@@ -60,8 +60,6 @@ def line_chart(path, series, *, title="", xlabel="", ylabel="",
     y_lo, y_hi = (min(ys_all), max(ys_all)) if ys_all else (0.0, 1.0)
     for v, _ in vlines:
         x_lo, x_hi = min(x_lo, v), max(x_hi, v)
-    for v, _ in hlines:
-        y_lo, y_hi = min(y_lo, v), max(y_hi, v)
     if ylim is not None:
         y_lo, y_hi = ylim
     if x_hi <= x_lo:
@@ -124,13 +122,6 @@ def line_chart(path, series, *, title="", xlabel="", ylabel="",
                      f'stroke-dasharray="6,4"/>')
         if label:
             parts.append(f'<text x="{_fmt(px(v) + 4)}" y="{MARGIN_T + 14}" '
-                         f'font-family="sans-serif" font-size="11">{label}</text>')
-    for v, label in hlines:
-        parts.append(f'<line x1="{MARGIN_L}" y1="{_fmt(py(v))}" x2="{W - MARGIN_R}" '
-                     f'y2="{_fmt(py(v))}" stroke="#555555" stroke-width="1" '
-                     f'stroke-dasharray="2,3"/>')
-        if label:
-            parts.append(f'<text x="{W - MARGIN_R - 4}" y="{_fmt(py(v) - 4)}" text-anchor="end" '
                          f'font-family="sans-serif" font-size="11">{label}</text>')
 
     for i, s in enumerate(series):

@@ -264,6 +264,41 @@ class TestMalformedInputs:
         rc, err = self.run_text(tmp_path, capsys)
         assert rc == 1
         assert err.count("\n") == 1 and "at least 2 rows, got 0" in err
+        assert "radiology_emb.csv" in err
+
+    def test_notes_table_with_one_cohort_note_exits_1(self, tmp_path, capsys):
+        notes = self.prepared(tmp_path).with_name("radiology.csv")
+        with open(tmp_path / "out" / "cohort.csv", newline="") as fh:
+            cohort = {row["hadm_id"] for row in csv.DictReader(fh)}
+        with open(notes, newline="") as fh:
+            rows = list(csv.reader(fh))
+        position = rows[0].index("hadm_id")
+        one = next(row for row in rows[1:] if row[position] in cohort)
+        with open(notes, "w", newline="") as fh:
+            csv.writer(fh).writerows([rows[0], one])
+        capsys.readouterr()
+        rc, err = self.run_text(tmp_path, capsys)
+        assert rc == 1
+        assert err.count("\n") == 1 and "at least 2 rows, got 1" in err
+        assert "radiology.csv" in err and "radiology_emb.csv" not in err
+
+    def test_repeated_patients_row_exits_1(self, tmp_path, capsys):
+        cfg = TestCli().cfg_file(tmp_path)
+        assert main(["synth", "--config", str(cfg)]) == 0
+        assert main(["cohort", "--config", str(cfg)]) == 0
+        with open(tmp_path / "out" / "cohort.csv", newline="") as fh:
+            subject = next(csv.DictReader(fh))["subject_id"]
+        patients = tmp_path / "data" / "patients.csv"
+        lines = patients.read_text().splitlines(keepends=True)
+        position = lines[0].rstrip("\n").split(",").index("subject_id")
+        repeated = [line for line in lines[1:] if line.split(",")[position] == subject]
+        assert len(repeated) == 1
+        patients.write_text("".join(lines + repeated))
+        capsys.readouterr()
+        rc = main(["cohort", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and f"subject_id {subject} " in err
 
     def test_repeated_embedding_hadm_id_exits_1(self, tmp_path, capsys):
         emb = self.prepared(tmp_path)

@@ -28,6 +28,28 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+class TestHarmonizationReport:
+    def test_procedure_row_without_a_stay_is_counted(self, tmp_path):
+        cfg = RunConfig(data_dir=str(tmp_path / "data"), out_dir=str(tmp_path / "out"),
+                        synth_n=120, synth_emb_dim=8, seed=4)
+        for stage in ("synth", "cohort", "features"):
+            run_stage(stage, cfg)
+        report = os.path.join(cfg.out_dir, "harmonization_report.csv")
+
+        def unlinked():
+            return {r["name"]: int(r["count"]) for r in read_rows(report)
+                    if r["kind"] == "unlinked"}
+
+        before = unlinked()
+        assert sorted(before) == ["chartevents", "inputevents", "labevents", "procedureevents"]
+        path = os.path.join(cfg.data_dir, "procedureevents.csv")
+        cells = {"stay_id": "999999999", "starttime": "2150-01-01 00:00:00", "itemid": "225792"}
+        with open(path, "a", newline="") as fh:
+            csv.writer(fh).writerow([cells.get(name, "") for name in read_header(path)])
+        run_stage("features", cfg)
+        assert unlinked() == {**before, "procedureevents": before["procedureevents"] + 1}
+
+
 class TestArtifacts:
     def test_expected_files_exist(self, small_run):
         out = small_run.out_dir
