@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCohortWarning, MissingDischtime, MissingIntime
+from .errors import DuplicateCohortRow, EmptyCohortWarning, MissingDischtime, MissingIntime
 from .frame import join
 
 CODE_COLUMN = "icd_code"
@@ -103,17 +103,28 @@ def build_cohort(diagnoses, patients, icustays, admissions, cfg):
 
     Each stay looks up its admission's diagnosis match, then the first stay
     of each subject looks up its patient and its admission; each of those
-    lookups needs unique keys (DuplicateCohortRow), so no subject can give
-    two records.
+    lookups needs unique keys (DuplicateCohortRow, whose ``table`` names
+    ``patients`` or ``admissions``), so no subject can give two records.
     """
     matched = filter_by_diagnosis(diagnoses, cfg)
     matched = matched.select([c for c in ("subject_id", "hadm_id") if matched.has_column(c)])
     linked = join(icustays, matched, ["subject_id", "hadm_id"], "inner")
     first = first_icu_stay(linked)
-    with_age = join(first, patients.select(["subject_id", AGE_COLUMN]), ["subject_id"], "left")
+    with_age = _lookup(first, patients.select(["subject_id", AGE_COLUMN]), ["subject_id"],
+                       "left", "patients")
     adults = apply_age_filter(with_age, cfg)
     adm_cols = ["subject_id", "hadm_id", "dischtime"]
     if admissions.has_column("deathtime"):
         adm_cols.append("deathtime")
-    with_adm = join(adults, admissions.select(adm_cols), ["subject_id", "hadm_id"], "inner")
+    with_adm = _lookup(adults, admissions.select(adm_cols), ["subject_id", "hadm_id"],
+                       "inner", "admissions")
     return label_mortality(with_adm).sort_by(["subject_id"])
+
+
+def _lookup(left, right, keys, how, table):
+    """``join``, with ``table`` set on the DuplicateCohortRow it raises."""
+    try:
+        return join(left, right, keys, how)
+    except DuplicateCohortRow as exc:
+        exc.table = table
+        raise

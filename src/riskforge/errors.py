@@ -34,7 +34,12 @@ class MissingDischtime(RiskforgeError):
 
 
 class DuplicateCohortRow(RiskforgeError):
-    """Two rows of a table looked up by key share every key (a repeated input row)."""
+    """Two rows of a table looked up by key share every key (a repeated input row).
+
+    ``table`` names the input table the rows came from, where it is known.
+    """
+
+    table = None
 
 
 # --- harmonization ---

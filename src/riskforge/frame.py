@@ -475,7 +475,12 @@ def require_unique(frame, keys):
     """Raise DuplicateCohortRow, naming every key and its value, where two
     rows of ``frame`` share all ``keys``. A row with a missing key names no
     row, so it never repeats."""
-    code = _row_codes(frame, frame, keys)[1]
+    _require_unique_codes(frame, keys, _row_codes(frame, frame, keys)[1])
+
+
+def _require_unique_codes(frame, keys, code):
+    """``require_unique`` on ``code``, the right-side codes ``_row_codes``
+    gives ``frame`` for ``keys``."""
     last = index_of(code, code)
     repeated = np.flatnonzero((last >= 0) & (last != np.arange(frame.n_rows)))
     if repeated.size:
@@ -497,7 +502,7 @@ def join(left, right, keys, how):
     if how not in ("inner", "left"):
         raise ValueError(f"unknown join kind {how!r}")
     lcode, rcode = _row_codes(left, right, keys)
-    require_unique(right, keys)
+    _require_unique_codes(right, keys, rcode)
     row = index_of(rcode, lcode)
     if how == "inner":
         left, row = left.filter(row >= 0), row[row >= 0]

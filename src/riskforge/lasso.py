@@ -8,6 +8,15 @@ cross-validation solves all folds of a penalty at
 once (``fold_path``) and reports the held-out binomial deviance curve over
 a log-spaced penalty grid with the minimum, 1-SE, and 75th-percentile
 selection rules.
+
+Every rule reads the curve only from the largest penalty down to
+lambda_min, so cross-validation stops walking down the grid once the mean
+deviance has stayed above the running minimum's mean + SE for
+``STOP_AFTER`` penalties in a row, as glmnet truncates its path. The
+small-penalty tail it skips is the costliest part of the grid, and the
+part whose fold solves most often stop at ``CV_MAX_ITER`` unconverged.
+The curve, and the ``cv_curve_*.csv`` written from it, holds the solved
+penalties only, each with the number of folds that hit that cap.
 """
 
 import math
@@ -23,6 +32,7 @@ CV_MAX_ITER = 1000
 CV_COEF_CAP = 30.0
 GRID_RATIO = 1e-4  # a grid's smallest penalty over its largest
 RULES = ("min", "1se", "pct75")
+STOP_AFTER = 3  # penalties past the 1-SE band before the grid walk stops
 
 
 @dataclass
@@ -36,6 +46,7 @@ class CvCurve:
     fold_count: int
     seed: int
     rule: str = "pct75"
+    capped_folds: np.ndarray = None  # per penalty, folds stopped at CV_MAX_ITER
 
 
 def lambda_max(X, y):
@@ -106,7 +117,16 @@ def cv_deviance(X, y, *, grid_size=100, n_folds=10, seed=0, keys=None,
                 rule="pct75"):
     """Per-penalty held-out deviance curve with fold means and SEs.
 
-    All folds are solved together at each penalty by ``fold_path``.
+    All folds are solved together at each penalty by ``fold_path``, down
+    the grid from its largest penalty. The walk stops at the penalty where
+    the mean deviance has been above ``mean[best] + se[best]`` for
+    ``STOP_AFTER`` consecutive penalties, ``best`` being the argmin so far;
+    a curve that never does so keeps the whole grid. The returned arrays
+    hold the solved penalties only, and each one is bitwise what the full
+    grid would give, so the three rules select as they would over the
+    whole grid whenever its argmin lies before the stop.
+    ``capped_folds[i]`` counts the folds whose solve at penalty ``i``
+    stopped at ``CV_MAX_ITER``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -125,19 +145,32 @@ def cv_deviance(X, y, *, grid_size=100, n_folds=10, seed=0, keys=None,
         train = ~val
         if y[train].min() == y[train].max() or y[val].min() == y[val].max():
             raise DegenerateFold(f"fold {f} has a single outcome class")
-    dev = np.empty((n_folds, len(grid)))
-    for i, (W, _) in enumerate(fold_path(X, y, grid, folds)):
+    dev = np.zeros((n_folds, len(grid)))
+    capped_folds = np.zeros(len(grid), dtype=int)
+    best = above = 0
+    for i, (W, capped) in enumerate(fold_path(X, y, grid, folds)):
         eta = W[0] + X @ W[1:]
         for f in range(n_folds):
             val = folds == f
             dev[f, i] = binomial_deviance(y[val], eta[val, f])
-    mean = dev.mean(axis=0)
-    se = dev.std(axis=0, ddof=1) / math.sqrt(n_folds)
+        capped_folds[i] = capped.sum()
+        # reduced over the whole array, as the full grid's curve is, so that
+        # every solved entry rounds as it would there
+        mean = dev.mean(axis=0)
+        se = dev.std(axis=0, ddof=1) / math.sqrt(n_folds)
+        if mean[i] < mean[best]:
+            best = i
+        above = above + 1 if mean[i] > mean[best] + se[best] else 0
+        if above == STOP_AFTER:
+            break
+    n = i + 1
+    grid, mean, se, capped_folds = grid[:n], mean[:n], se[:n], capped_folds[:n]
     i_min = int(np.argmin(mean))
     lam_min = float(grid[i_min])
     within = mean <= mean[i_min] + se[i_min]
     lam_1se = float(grid[np.flatnonzero(within)[0]])  # grid descends: first hit is max
-    curve = CvCurve(grid, mean, se, lam_min, lam_1se, 0.0, n_folds, seed, rule)
+    curve = CvCurve(grid, mean, se, lam_min, lam_1se, 0.0, n_folds, seed, rule,
+                    capped_folds)
     curve.lambda_selected = select_lambda(curve, rule)
     return curve
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import design, gbt, glm, impute, lasso, svgplot, text as text_mod
 from .config import stage_seed
 from .cohort import CohortConfig, build_cohort
-from .errors import MissingArtifact, SingularHessian, TooFewRows
+from .errors import DuplicateCohortRow, MissingArtifact, SingularHessian, TooFewRows
 from .frame import (CellCache, PatientFrame, join, read_csv, read_header,
                     write_csv)
 from .harmonize import (DEFAULT_PLAUSIBILITY, FLAG_NAMES, PlausibilityRule,
@@ -186,7 +186,11 @@ def run_cohort(cfg):
     icustays = _read_input(cfg, "icustays", "cohort")
     admissions = _read_input(cfg, "admissions", "cohort")
     ccfg = CohortConfig(tuple(cfg.icd_codes), cfg.min_age)
-    cohort = build_cohort(diagnoses, patients, icustays, admissions, ccfg)
+    try:
+        cohort = build_cohort(diagnoses, patients, icustays, admissions, ccfg)
+    except DuplicateCohortRow as exc:
+        raise DuplicateCohortRow(
+            f"{os.path.join(cfg.data_dir, exc.table + '.csv')}: {exc}") from None
     return [_save(cfg, "cohort.csv", cohort.select([c for c, _ in COHORT_SCHEMA]))]
 
 
@@ -353,6 +357,7 @@ def run_select(cfg):
             ("lambda", "num", curve.lambda_grid),
             ("mean_deviance", "num", curve.mean_deviance),
             ("se_deviance", "num", curve.se_deviance),
+            ("capped_folds", "int", curve.capped_folds),
         ]))
         logg = [math.log(v) for v in curve.lambda_grid]
         outs.append(_chart(

@@ -240,22 +240,30 @@ class TestMalformedInputs:
         assert rc == 1
         assert err.count("\n") == 1 and "discharge_emb.csv" in err
 
-    def test_repeated_admission_row_exits_1(self, tmp_path, capsys):
+    def repeat_cohort_row(self, tmp_path, capsys, table, key):
+        """Append a second copy of the ``table`` row of the first cohort
+        record, matched on ``key``; rerun the cohort stage."""
         cfg = TestCli().cfg_file(tmp_path)
         assert main(["synth", "--config", str(cfg)]) == 0
         assert main(["cohort", "--config", str(cfg)]) == 0
         with open(tmp_path / "out" / "cohort.csv", newline="") as fh:
-            hadm = next(csv.DictReader(fh))["hadm_id"]
-        adm = tmp_path / "data" / "admissions.csv"
-        lines = adm.read_text().splitlines(keepends=True)
-        position = lines[0].rstrip("\n").split(",").index("hadm_id")
-        repeated = [line for line in lines[1:] if line.split(",")[position] == hadm]
-        adm.write_text("".join(lines + repeated))
+            record = next(csv.DictReader(fh))
+        path = tmp_path / "data" / f"{table}.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        position = lines[0].rstrip("\n").split(",").index(key)
+        repeated = [line for line in lines[1:] if line.split(",")[position] == record[key]]
+        assert len(repeated) == 1
+        path.write_text("".join(lines + repeated))
         capsys.readouterr()
         rc = main(["cohort", "--config", str(cfg)])
         err = capsys.readouterr().err
-        assert rc == 1
-        assert err.count("\n") == 1 and f"hadm_id {hadm} " in err
+        assert rc == 1 and err.count("\n") == 1
+        return record, err, f"{os.path.join(str(tmp_path / 'data'), table + '.csv')}: "
+
+    def test_repeated_admission_row_exits_1(self, tmp_path, capsys):
+        record, err, prefix = self.repeat_cohort_row(tmp_path, capsys, "admissions", "hadm_id")
+        named = f"subject_id {record['subject_id']}, hadm_id {record['hadm_id']} names"
+        assert f"{prefix}{named}" in err
 
     def test_header_only_embedding_file_exits_1(self, tmp_path, capsys):
         emb = self.prepared(tmp_path).with_name("radiology_emb.csv")
@@ -283,22 +291,8 @@ class TestMalformedInputs:
         assert "radiology.csv" in err and "radiology_emb.csv" not in err
 
     def test_repeated_patients_row_exits_1(self, tmp_path, capsys):
-        cfg = TestCli().cfg_file(tmp_path)
-        assert main(["synth", "--config", str(cfg)]) == 0
-        assert main(["cohort", "--config", str(cfg)]) == 0
-        with open(tmp_path / "out" / "cohort.csv", newline="") as fh:
-            subject = next(csv.DictReader(fh))["subject_id"]
-        patients = tmp_path / "data" / "patients.csv"
-        lines = patients.read_text().splitlines(keepends=True)
-        position = lines[0].rstrip("\n").split(",").index("subject_id")
-        repeated = [line for line in lines[1:] if line.split(",")[position] == subject]
-        assert len(repeated) == 1
-        patients.write_text("".join(lines + repeated))
-        capsys.readouterr()
-        rc = main(["cohort", "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.count("\n") == 1 and f"subject_id {subject} " in err
+        record, err, prefix = self.repeat_cohort_row(tmp_path, capsys, "patients", "subject_id")
+        assert f"{prefix}subject_id {record['subject_id']} names" in err
 
     def test_repeated_embedding_hadm_id_exits_1(self, tmp_path, capsys):
         emb = self.prepared(tmp_path)

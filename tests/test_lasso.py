@@ -6,10 +6,10 @@ import pytest
 from riskforge import lasso
 from riskforge.errors import DegenerateFold, NonConvergence
 from riskforge.glm import fit_logistic, sigmoid
-from riskforge.lasso import (CvCurve, binomial_deviance, cv_deviance,
-                             default_grid, fit_lasso, fold_assignments,
-                             fold_path, lambda_max, select_lambda,
-                             selected_features)
+from riskforge.lasso import (RULES, STOP_AFTER, CvCurve, binomial_deviance,
+                             cv_deviance, default_grid, fit_lasso,
+                             fold_assignments, fold_path, lambda_max,
+                             select_lambda, selected_features)
 
 
 def standardized(rng, n, p):
@@ -241,6 +241,131 @@ class TestFoldPath:
         # every fold is exactly null at the largest fold's lambda max
         (W, capped), = fold_path(X, y, [max(fold_lmax)], folds)
         assert np.all(W[1:] == 0.0) and not capped.any()
+
+
+def reference_cv_curve(X, y, grid_size, n_folds, seed, rule="pct75"):
+    """The curve over every penalty of the grid: each fold solved at each
+    penalty, as cv_deviance did before it stopped past lambda_min."""
+    grid = default_grid(lambda_max(X, y), grid_size)
+    folds = fold_assignments(y, n_folds, seed)
+    dev = np.empty((n_folds, len(grid)))
+    capped_folds = np.empty(len(grid), dtype=int)
+    for i, (W, capped) in enumerate(fold_path(X, y, grid, folds)):
+        eta = W[0] + X @ W[1:]
+        for f in range(n_folds):
+            val = folds == f
+            dev[f, i] = binomial_deviance(y[val], eta[val, f])
+        capped_folds[i] = capped.sum()
+    mean = dev.mean(axis=0)
+    se = dev.std(axis=0, ddof=1) / math.sqrt(n_folds)
+    i_min = int(np.argmin(mean))
+    within = mean <= mean[i_min] + se[i_min]
+    curve = CvCurve(grid, mean, se, float(grid[i_min]),
+                    float(grid[np.flatnonzero(within)[0]]), 0.0, n_folds, seed,
+                    rule, capped_folds)
+    curve.lambda_selected = select_lambda(curve, rule)
+    return curve
+
+
+def reference_stop_index(mean, se):
+    """First index at which the mean has been above the running argmin's
+    mean + SE for STOP_AFTER penalties in a row; None if it never is."""
+    run = 0
+    for i in range(len(mean)):
+        best = int(np.argmin(mean[:i + 1]))
+        run = run + 1 if mean[i] > mean[best] + se[best] else 0
+        if run == STOP_AFTER:
+            return i
+    return None
+
+
+def collinear(rng, n, p):
+    """Standardized columns that are noisy mixes of two latent ones: small
+    penalties then leave folds near-separable and ill-conditioned, where
+    solves stop at CV_MAX_ITER."""
+    X = rng.standard_normal((n, 2)) @ rng.standard_normal((2, p))
+    X += 0.1 * rng.standard_normal((n, p))
+    return (X - X.mean(0)) / X.std(0)
+
+
+def random_cv_case(rng, wide=False):
+    n = int(rng.integers(30, 80))
+    if wide:
+        X = collinear(rng, n, int(rng.integers(6, 16)))
+        beta = rng.normal(0.0, 0.5, X.shape[1])
+    else:
+        X = standardized(rng, n, int(rng.integers(1, 7)))
+        beta = rng.normal(0.0, 1.0, X.shape[1]) * (rng.uniform(size=X.shape[1]) < 0.3)
+    y = (rng.uniform(size=n) < sigmoid(rng.normal() + X @ beta)).astype(float)
+    return X, y, dict(grid_size=int(rng.integers(3, 11)), n_folds=int(rng.integers(2, 7)),
+                      seed=int(rng.integers(1000)), rule=str(rng.choice(RULES)))
+
+
+class TestEarlyStop:
+    def test_stopped_curve_is_a_bitwise_prefix_of_the_full_grid(self):
+        rng = np.random.default_rng(51)
+        cases = stopped = capped = 0
+        while cases < 300:
+            X, y, kw = random_cv_case(rng, wide=cases % 30 == 0)
+            try:
+                got = cv_deviance(X, y, **kw)
+            except DegenerateFold:
+                continue
+            want = reference_cv_curve(X, y, **kw)
+            stop = reference_stop_index(want.mean_deviance, want.se_deviance)
+            k = kw["grid_size"] if stop is None else stop + 1
+            assert len(got.lambda_grid) == k
+            for name in ("lambda_grid", "mean_deviance", "se_deviance", "capped_folds"):
+                assert getattr(got, name).tobytes() == getattr(want, name)[:k].tobytes()
+            assert (got.lambda_min, got.lambda_1se, got.lambda_selected) == \
+                (want.lambda_min, want.lambda_1se, want.lambda_selected)
+            cases += 1
+            stopped += stop is not None
+            capped += got.capped_folds.any()
+        # the stop fires on a good share of the cases, and some solved
+        # penalties have folds at the iteration cap
+        assert stopped >= 100 and capped >= 3
+
+    def test_argmin_matches_converged_full_curve(self, monkeypatch):
+        # the skipped tail is where fold solves hit CV_MAX_ITER; with a cap
+        # 20x higher every solve of the full grid runs further, and its
+        # argmin still lies where the stopped curve's does
+        rng = np.random.default_rng(52)
+        cases = capped = 0
+        while cases < 10:
+            X, y, kw = random_cv_case(rng, wide=True)
+            try:
+                got = cv_deviance(X, y, **kw)
+            except DegenerateFold:
+                continue
+            capped += reference_cv_curve(X, y, **kw).capped_folds.any()
+            with monkeypatch.context() as m:
+                m.setattr(lasso, "CV_MAX_ITER", 20_000)
+                want = reference_cv_curve(X, y, **kw)
+            assert got.lambda_min == want.lambda_min
+            cases += 1
+        assert capped >= 3
+
+    def test_curve_that_never_rises_keeps_the_whole_grid(self):
+        # many rows and one strong feature: the deviance falls to a flat
+        # floor well inside one SE, so no penalty is past the 1-SE band
+        rng = np.random.default_rng(53)
+        X, y = draw(rng, 2000, [1.5])
+        want = reference_cv_curve(X, y, 20, 5, 0)
+        assert reference_stop_index(want.mean_deviance, want.se_deviance) is None
+        got = cv_deviance(X, y, grid_size=20, n_folds=5, seed=0)
+        assert got.lambda_grid.tobytes() == want.lambda_grid.tobytes()
+        assert got.mean_deviance.tobytes() == want.mean_deviance.tobytes()
+
+    def test_capped_folds_counts_fold_path_caps(self, monkeypatch):
+        rng = np.random.default_rng(54)
+        X, y = draw(rng, 200, [1.0, -0.8, 0.5, 0.0])
+        monkeypatch.setattr(lasso, "CV_MAX_ITER", 5)
+        curve = cv_deviance(X, y, grid_size=15, n_folds=4, seed=2)
+        folds = fold_assignments(y, 4, 2)
+        counts = [int(capped.sum()) for _, capped in fold_path(X, y, curve.lambda_grid, folds)]
+        assert curve.capped_folds.tolist() == counts
+        assert 0 < sum(counts)
 
 
 class TestSelectLambda:
