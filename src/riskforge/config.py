@@ -10,7 +10,7 @@ import configparser
 import io
 import warnings
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import ConfigInvalid
 from .impute import METHODS

@@ -15,10 +15,6 @@ class IoFailure(RiskforgeError):
     pass
 
 
-class NonNumericColumn(RiskforgeError):
-    pass
-
-
 # --- cohort ---
 
 class EmptyCohortWarning(UserWarning):

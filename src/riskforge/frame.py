@@ -33,8 +33,9 @@ and returns each table as read_csv would read it back.
 
 A join is a lookup: each left row takes the one right row whose numeric
 keys all equal its own, found through ``index_of``, and a repeated right
-key is an error. Group-bys run on integer key codes from ``np.unique`` and
-stable sorts.
+key is an error. The one group-by reduces long-format (key, variable,
+value) events to a per-key mean, min and max of each variable through one
+stable sort of (key, variable) cell codes.
 """
 
 import csv
@@ -46,7 +47,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .errors import DuplicateCohortRow, IoFailure, MissingColumn, NonNumericColumn
+from .errors import DuplicateCohortRow, IoFailure, MissingColumn
 
 KINDS = ("num", "int", "str", "time")
 NUMERIC_KINDS = ("num", "int", "time")
@@ -518,52 +519,43 @@ def join(left, right, keys, how):
 
 # --- grouped statistics ---
 
-STAT_FUNCS = ("mean", "min", "max")
 
+def aggregate_by_key(events, key, variables):
+    """Per-key mean, min and max of each listed variable of long-format
+    ``events``: each row holds one value (``valuenum``) of one variable
+    (``variable``) for one ``key``.
 
-def aggregate_by_key(frame, key, stats, columns=None):
-    """One output row per key value; missing cells never enter a statistic.
-
-    ``columns`` defaults to every 'num' column except the key. Rows with a
-    missing key are dropped. A group with all cells missing yields a missing
-    statistic. Group order follows first appearance in the input.
+    One output row per non-missing key, keys ascending, and a
+    ``<variable>_mean``, ``_min`` and ``_max`` column per listed variable,
+    in order. A missing value never enters a statistic, and a (key,
+    variable) cell with no value is missing, so a key whose rows hold only
+    missing values or unlisted variables gets a row of missing cells. A
+    stable sort of the cell codes keeps each cell's values in row order:
+    its mean is bitwise ``np.mean`` of them.
     """
-    for s in stats:
-        if s not in STAT_FUNCS:
-            raise ValueError(f"unknown stat {s!r}")
-    ki = frame._col(key)
-    if columns is None:
-        columns = [n for n, k in zip(frame._names, frame._kinds) if k == "num" and n != key]
-    for name in columns:
-        if frame.kind(name) not in ("num", "int", "time"):
-            raise NonNumericColumn(name)
-
-    live = np.flatnonzero(~frame.mask(key))
-    _, first, inv = np.unique(frame._columns[ki][live], return_index=True,
-                              return_inverse=True)
-    n_groups = len(first)
-    rank = np.empty(n_groups, dtype=int)
-    rank[np.argsort(first)] = np.arange(n_groups)  # groups in first-appearance order
-    group = rank[inv]
-    by_group = np.argsort(group, kind="stable")  # each group's rows stay in row order
-    rows, group = live[by_group], group[by_group]
-
-    out = [(key, frame._kinds[ki], frame._columns[ki][live[np.sort(first)]])]
-    for name in columns:
-        vals = frame._columns[frame._col(name)][rows].astype(float)
-        ok = ~np.isnan(vals)
-        vals, g = vals[ok], group[ok]
-        counts = np.bincount(g, minlength=n_groups)
-        starts = np.cumsum(counts) - counts
-        has = counts > 0
-        for stat in stats:
-            res = np.full(n_groups, np.nan)
-            if stat == "mean":
-                res[has] = segment_means(vals, starts[has], counts[has])
-            elif has.any():
-                ufunc = np.minimum if stat == "min" else np.maximum
-                res[has] = ufunc.reduceat(vals, starts[has])
-            out.append((f"{name}_{stat}", "num", res))
+    kvals = events.values(key)
+    live = ~np.isnan(kvals)
+    keys, kcode = np.unique(kvals[live], return_inverse=True)
+    var = events.values("variable")[live]
+    slot = np.full(var.size, -1)
+    for j, name in enumerate(variables):
+        slot[var == name] = j
+    vals = events.values("valuenum")[live]
+    ok = (slot >= 0) & ~np.isnan(vals)
+    cell = kcode[ok] * len(variables) + slot[ok]
+    order = np.argsort(cell, kind="stable")
+    cell, vals = cell[order], vals[ok][order]
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    counts = np.diff(np.append(starts, cell.size))
+    stats = np.full((3, len(keys) * len(variables)), np.nan)
+    stats[:, cell[starts]] = (segment_means(vals, starts, counts),
+                              np.minimum.reduceat(vals, starts),
+                              np.maximum.reduceat(vals, starts))
+    stats = stats.reshape(3, len(keys), len(variables))
+    out = [(key, events.kind(key), keys)]
+    for j, name in enumerate(variables):
+        out += [(f"{name}_{stat}", "num", stats[i, :, j])
+                for i, stat in enumerate(("mean", "min", "max"))]
     return PatientFrame.from_columns(out)
 
 

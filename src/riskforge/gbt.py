@@ -122,12 +122,8 @@ def _tree_predict(nodes, X):
     return np.array([nd.weight for nd in nodes])[k]
 
 
-def fit_gbt(X, y, cfg, names=None, record=None):
-    """Boosted ensemble; deterministic for a given seed.
-
-    ``record``, when a list, collects per-round (subsample_rows, g, h)
-    snapshots for post-hoc verification of the leaf-weight closed form.
-    """
+def fit_gbt(X, y, cfg, names=None):
+    """Boosted ensemble; deterministic for a given seed."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
@@ -154,8 +150,6 @@ def fit_gbt(X, y, cfg, names=None, record=None):
             sorted_rows = order[in_tree[order]].reshape(p, k)
         else:
             rows, sorted_rows = np.arange(n), order
-        if record is not None:
-            record.append((rows.copy(), g.copy(), h.copy()))
         nodes = _grow_tree(X, g, h, rows, sorted_rows, cfg)
         f = f + cfg.learning_rate * _tree_predict(nodes, X)
         trees.append(nodes)

@@ -1,9 +1,11 @@
 """Physiological harmonization of raw event tables.
 
-Turns chart/lab event streams into one patient-level frame: first-24h
-windowing, unit alignment (temperature, arterial vs cuff blood pressure),
-plausibility masking with per-rule removal counts, mean/min/max
-aggregation, GCS totals, and binary comorbidity/treatment flags.
+Turns the ICU event tables into one patient-level frame: first-24h
+windowing of every event table, unit alignment (temperature, arterial vs
+cuff blood pressure), plausibility masking with per-rule removal counts,
+per-key mean/min/max of the long-format (variable, value) events through
+``frame.aggregate_by_key``, GCS totals, and binary comorbidity/treatment
+flags.
 """
 
 from collections import Counter
@@ -217,21 +219,6 @@ def _pool_duplicate_measurements(events, key):
     ])
 
 
-def aggregate_variables(events, key, variables):
-    """Per-key mean/min/max of each long-format variable; wide output frame.
-
-    Keys ascend. One group-by over the key-sorted events, with one column per
-    variable that is NaN on every other variable's rows.
-    """
-    events = events.sort_by([key])
-    var = events.values("variable")
-    vals = events.values("valuenum")
-    wide = [(key, "int", events.values(key))]
-    wide += [(name, "num", np.where(var == name, vals, np.nan)) for name in variables]
-    return aggregate_by_key(PatientFrame.from_columns(wide), key, ["mean", "min", "max"],
-                            columns=list(variables))
-
-
 def derive_mbp(frame):
     """Fill missing MBP aggregates from SBP/DBP via the standard formula."""
     out = frame
@@ -273,31 +260,35 @@ def build_structured_features(chartevents, labevents, diagnoses, proc_events,
                               input_events, cohort, rules=DEFAULT_PLAUSIBILITY):
     """Assemble the patient-level structured feature frame.
 
-    Returns (features, report) where report carries unlinked-event and
-    per-rule plausibility removal counts.
+    Each of the four event tables is windowed to the first 24h of its stay
+    (``window_24h``); procedure and input events carry their start time as
+    ``charttime``. Returns (features, report) where report carries the
+    unlinked count of each event table and per-rule plausibility removal
+    counts.
     """
-    report = {"unlinked": {}, "plausibility": {}}
+    unlinked = {}
+    chart_w, unlinked["chartevents"] = window_24h(chartevents, cohort, key="stay_id")
+    labs_w, unlinked["labevents"] = window_24h(labevents, cohort, key="hadm_id")
+    procs_w, unlinked["procedureevents"] = window_24h(proc_events, cohort, key="stay_id")
+    inputs_w, unlinked["inputevents"] = window_24h(input_events, cohort, key="stay_id")
 
-    chart_w, unlinked_chart = window_24h(chartevents, cohort, key="stay_id")
-    report["unlinked"]["chartevents"] = unlinked_chart
     chart_vars = _events_to_variables(chart_w)
     chart_vars = _pool_duplicate_measurements(chart_vars, "stay_id")
     chart_vars, chart_counts = _apply_rules_long(chart_vars, rules)
 
-    labs_w, unlinked_labs = window_24h(labevents, cohort, key="hadm_id")
-    report["unlinked"]["labevents"] = unlinked_labs
     lab_names = _item_names(labs_w.values("itemid"), LAB_ITEMS)
     labs_long = labs_w.filter(lab_names != "")
     labs_long = labs_long.with_column("variable", "str", lab_names[lab_names != ""])
     labs_long, lab_counts = _apply_rules_long(labs_long, rules)
 
-    report["plausibility"] = dict(Counter(chart_counts) + Counter(lab_counts))
+    report = {"unlinked": unlinked,
+              "plausibility": dict(Counter(chart_counts) + Counter(lab_counts))}
 
-    vital_agg = aggregate_variables(chart_vars, "stay_id", VITAL_NAMES + GCS_NAMES)
+    vital_agg = aggregate_by_key(chart_vars, "stay_id", VITAL_NAMES + GCS_NAMES)
     vital_agg = derive_mbp(vital_agg)
-    lab_agg = aggregate_variables(labs_long, "hadm_id", LAB_NAMES)
+    lab_agg = aggregate_by_key(labs_long, "hadm_id", LAB_NAMES)
 
-    flags = binary_flags(diagnoses, proc_events, input_events, cohort)
+    flags = binary_flags(diagnoses, procs_w, inputs_w, cohort)
 
     out = cohort.select(["subject_id", "hadm_id", "stay_id", "anchor_age", "in_hospital_death"])
     out = join(out, vital_agg, ["stay_id"], "left")

@@ -14,7 +14,7 @@ standardised copy of all the others, up to rounding.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -258,7 +258,6 @@ class RubinPooled:
     total_var: np.ndarray
     se: np.ndarray
     m: int
-    per_imputation_fits: list = field(default_factory=list)
 
 
 def rubin_pool(fits, m=None):
@@ -283,4 +282,4 @@ def rubin_pool(fits, m=None):
     V = (ses ** 2).mean(axis=0)
     B = betas.var(axis=0, ddof=1)
     T = V + (1.0 + 1.0 / m) * B
-    return RubinPooled(names, beta_mi, V, B, T, np.sqrt(T), m, list(fits))
+    return RubinPooled(names, beta_mi, V, B, T, np.sqrt(T), m)

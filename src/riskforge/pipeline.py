@@ -35,7 +35,7 @@ from .errors import DuplicateCohortRow, MissingArtifact, SingularHessian, TooFew
 from .frame import (CellCache, PatientFrame, join, read_csv, read_header,
                     write_csv)
 from .harmonize import (DEFAULT_PLAUSIBILITY, FLAG_NAMES, PlausibilityRule,
-                        build_structured_features, fahrenheit_to_celsius, window_24h)
+                        build_structured_features, fahrenheit_to_celsius)
 from .impute import MiceConfig, default_policies, impute_single, mice_impute, missingness_report
 from .scoring import (NEWS2_RANGES, calibration, decision_curve, default_dca_grid,
                       news2_scores, roc, threshold_metrics)
@@ -210,13 +210,9 @@ def run_features(cfg):
     procs = _read_input(cfg, "procedureevents", "features").rename({"starttime": "charttime"})
     inputs = _read_input(cfg, "inputevents", "features").rename({"starttime": "charttime"})
 
-    procs_w, unlinked_procs = window_24h(procs, cohort, key="stay_id")
-    inputs_w, unlinked_inputs = window_24h(inputs, cohort, key="stay_id")
-
     rules = effective_plausibility(cfg)
     features, report = build_structured_features(
-        chart, labs, diagnoses, procs_w, inputs_w, cohort, rules)
-    report["unlinked"].update(procedureevents=unlinked_procs, inputevents=unlinked_inputs)
+        chart, labs, diagnoses, procs, inputs, cohort, rules)
     counts = [("unlinked", k, v) for k, v in sorted(report["unlinked"].items())]
     counts += [("plausibility_removed", k, v) for k, v in sorted(report["plausibility"].items())]
     return [

@@ -29,8 +29,7 @@ import numpy as np
 
 from .errors import InfeasiblePrevalence
 from .frame import PatientFrame, parse_time, write_csv
-from .harmonize import (GCS_ITEMS, LAB_ITEMS, VITAL_ITEMS, LAB_NAMES,
-                        VITAL_NAMES, GCS_NAMES)
+from .harmonize import GCS_ITEMS, LAB_ITEMS, VITAL_ITEMS, VITAL_NAMES, GCS_NAMES
 from .scoring import roc
 
 BASE_TIME = parse_time("2150-01-01 00:00:00")

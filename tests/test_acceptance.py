@@ -2,7 +2,6 @@
 and reports one PASS/FAIL line in the terminal summary."""
 
 import csv
-import math
 import os
 import shutil
 import time

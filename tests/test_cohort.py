@@ -5,7 +5,6 @@ from riskforge.cohort import (CohortConfig, apply_age_filter, build_cohort,
                               filter_by_diagnosis, first_icu_stay,
                               label_mortality)
 from riskforge.errors import EmptyCohortWarning, MissingDischtime, MissingIntime
-from riskforge.frame import PatientFrame
 
 from test_frame import make_frame
 

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riskforge.errors import DuplicateCohortRow, MissingColumn, NonNumericColumn
+from riskforge.errors import DuplicateCohortRow, MissingColumn
 from riskforge import frame as frame_mod
 from riskforge.frame import (KINDS, CellCache, PatientFrame, _block_rows,
                              _format_column, aggregate_by_key, join, parse_time,
-                             format_time, read_csv, write_csv)
+                             format_time, read_csv, segment_means, write_csv)
 
 
 def nan_where(missing, values):
@@ -172,54 +172,57 @@ class TestJoin:
         assert out.n_rows == len(set(lk) & set(rk))
 
 
+def long_events(keys, variables, values):
+    """Long-format events: one (stay_id, variable, valuenum) per row."""
+    return PatientFrame.from_columns([("stay_id", "int", keys), ("variable", "str", variables),
+                                      ("valuenum", "num", values)])
+
+
 class TestAggregate:
     def test_mean_min_max(self):
-        f = make_frame(stay_id=("int", [7.0, 7.0]), hr=("num", [60.0, 80.0]))
-        out = aggregate_by_key(f, "stay_id", ["mean", "min", "max"])
+        f = long_events([7.0, 7.0], ["hr", "hr"], [60.0, 80.0])
+        out = aggregate_by_key(f, "stay_id", ["hr"])
+        assert out.names == ["stay_id", "hr_mean", "hr_min", "hr_max"]
         assert out.values("hr_mean").tolist() == [70.0]
         assert out.values("hr_min").tolist() == [60.0]
         assert out.values("hr_max").tolist() == [80.0]
 
     def test_all_masked_group_stays_masked(self):
-        f = make_frame(stay_id=("int", [7.0, 7.0]),
-                       hr=("num", [60.0, 80.0], np.array([True, True])))
-        out = aggregate_by_key(f, "stay_id", ["mean", "min", "max"])
+        f = long_events([7.0, 7.0], ["hr", "hr"], [np.nan, np.nan])
+        out = aggregate_by_key(f, "stay_id", ["hr"])
+        assert out.values("stay_id").tolist() == [7.0]
         assert out.mask("hr_mean").tolist() == [True]
         assert out.mask("hr_min").tolist() == [True]
 
     def test_single_value_identity(self):
-        f = make_frame(stay_id=("int", [1.0]), bt=("num", [98.6]))
-        out = aggregate_by_key(f, "stay_id", ["mean", "min", "max"])
+        f = long_events([1.0], ["bt"], [98.6])
+        out = aggregate_by_key(f, "stay_id", ["bt"])
         assert out.values("bt_mean")[0] == out.values("bt_min")[0] == 98.6
-
-    def test_non_numeric_target_rejected(self):
-        f = make_frame(stay_id=("int", [1.0]), note=("str", ["x"]))
-        with pytest.raises(NonNumericColumn):
-            aggregate_by_key(f, "stay_id", ["mean"], columns=["note"])
 
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(5)
         n = 600
         keys = rng.integers(0, 40, n).astype(float)
-        vals = rng.normal(50, 10, n)
-        mask = rng.uniform(size=n) < 0.25
-        f = make_frame(stay_id=("int", keys), v=("num", vals, mask))
-        out = aggregate_by_key(f, "stay_id", ["mean", "min", "max"])
+        variables = rng.choice(["v", "w", "unlisted"], n)
+        vals = nan_where(rng.uniform(size=n) < 0.25, rng.normal(50, 10, n))
+        out = aggregate_by_key(long_events(keys, variables, vals), "stay_id", ["w", "v"])
+        assert out.names[1:] == [f"{v}_{s}" for v in "wv" for s in ("mean", "min", "max")]
 
         # independent oracle: plain python scan
         oracle = {}
-        for k, v, m in zip(keys, vals, mask):
-            if not m:
-                oracle.setdefault(k, []).append(v)
-        got_keys = out.values("stay_id")
-        for i, k in enumerate(got_keys):
-            if k in oracle:
-                vs = oracle[k]
-                assert out.values("v_mean")[i] == pytest.approx(sum(vs) / len(vs))
-                assert out.values("v_min")[i] == min(vs)
-                assert out.values("v_max")[i] == max(vs)
-            else:
-                assert out.mask("v_mean")[i]
+        for k, name, v in zip(keys, variables, vals):
+            if not math.isnan(v):
+                oracle.setdefault((k, name), []).append(v)
+        assert out.values("stay_id").tolist() == sorted(set(keys.tolist()))
+        for i, k in enumerate(out.values("stay_id")):
+            for name in "vw":
+                if (k, name) in oracle:
+                    vs = oracle[k, name]
+                    assert out.values(f"{name}_mean")[i] == pytest.approx(sum(vs) / len(vs))
+                    assert out.values(f"{name}_min")[i] == min(vs)
+                    assert out.values(f"{name}_max")[i] == max(vs)
+                else:
+                    assert out.mask(f"{name}_mean")[i]
 
 
 def test_frames_are_value_immutable_after_construction():
@@ -736,33 +739,102 @@ class TestJoinOracle:
         assert_join_matches_reference(left, right.take(first), keys, kind)
 
 
+def reference_aggregate(events, key, variables):
+    """The wide path that ``aggregate_by_key`` replaced: sort the events by
+    key, spread each variable into a column that is NaN on every other
+    variable's rows, and group that wide table by key in first-appearance
+    order, which the sort makes ascending."""
+    events = events.sort_by([key])
+    keys = events.values(key)
+    wide = [np.where(events.values("variable") == name, events.values("valuenum"), np.nan)
+            for name in variables]
+    live = np.flatnonzero(~np.isnan(keys))
+    _, first, inv = np.unique(keys[live], return_index=True, return_inverse=True)
+    n_groups = len(first)
+    rank = np.empty(n_groups, dtype=int)
+    rank[np.argsort(first)] = np.arange(n_groups)
+    group = rank[inv]
+    by_group = np.argsort(group, kind="stable")
+    rows, group = live[by_group], group[by_group]
+    out = [(key, events.kind(key), keys[live[np.sort(first)]])]
+    for name, column in zip(variables, wide):
+        vals = column[rows]
+        ok = ~np.isnan(vals)
+        vals, g = vals[ok], group[ok]
+        counts = np.bincount(g, minlength=n_groups)
+        starts = np.cumsum(counts) - counts
+        has = counts > 0
+        for stat in ("mean", "min", "max"):
+            res = np.full(n_groups, np.nan)
+            if stat == "mean":
+                res[has] = segment_means(vals, starts[has], counts[has])
+            elif has.any():
+                ufunc = np.minimum if stat == "min" else np.maximum
+                res[has] = ufunc.reduceat(vals, starts[has])
+            out.append((f"{name}_{stat}", "num", res))
+    return PatientFrame.from_columns(out)
+
+
+def assert_bitwise_equal(got, want):
+    assert (got.names, [got.kind(n) for n in got.names]) == \
+        (want.names, [want.kind(n) for n in want.names])
+    for name in got.names:
+        assert got.values(name).tobytes() == want.values(name).tobytes(), name
+
+
 class TestAggregateOracle:
+    def test_matches_wide_reference_on_random_cases(self):
+        """400 random cases, bitwise: missing keys, missing values, unlisted
+        variables, zero rows and keys with only missing values."""
+        rng = np.random.default_rng(16)
+        seen = set()
+        for case in range(400):
+            n = 0 if case % 40 == 0 else int(rng.integers(1, 200))
+            keys = nan_where(rng.uniform(size=n) < 0.1,
+                             rng.integers(0, int(rng.integers(1, 30)), n))
+            pool = ["a", "b", "c", "d"]
+            variables = rng.choice(pool, n)
+            vals = rng.normal(0, 1, n) * 10.0 ** rng.integers(-3, 6, n)
+            vals = nan_where(rng.uniform(size=n) < rng.uniform(0, 0.6), vals)
+            vals[rng.uniform(size=n) < 0.05] = -0.0
+            listed = [str(v) for v in rng.permutation(pool)[:int(rng.integers(0, 4))]]
+            events = long_events(keys, variables, vals)
+            assert_bitwise_equal(aggregate_by_key(events, "stay_id", listed),
+                                 reference_aggregate(events, "stay_id", listed))
+            in_list = np.isin(variables, listed)
+            valued = keys[in_list & ~np.isnan(vals)]
+            seen.update(name for name, hit in (
+                ("zero rows", n == 0), ("missing key", np.isnan(keys).any()),
+                ("missing value", np.isnan(vals).any()), ("unlisted", not in_list.all()),
+                ("key without values", not np.isin(keys[~np.isnan(keys)], valued).all()))
+                if hit)
+        assert seen == {"zero rows", "missing key", "missing value", "unlisted",
+                        "key without values"}
+
     def test_mean_is_bitwise_per_group_np_mean(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             n = int(rng.integers(1, 3000))
             keys = rng.integers(0, int(rng.integers(1, 60)), n).astype(float)
+            variables = rng.choice(["v", "w"], n)
             vals = rng.normal(0, 1, n) * 10.0 ** rng.integers(-3, 6, n)
-            mask = rng.uniform(size=n) < 0.2
-            f = make_frame(stay_id=("int", keys), v=("num", vals, mask))
-            out = aggregate_by_key(f, "stay_id", ["mean", "min", "max"])
-            first_seen = list(dict.fromkeys(keys[~np.zeros(n, dtype=bool)].tolist()))
-            assert out.values("stay_id").tolist() == first_seen
-            for i, k in enumerate(first_seen):
-                live = vals[(keys == k) & ~mask]
-                if live.size == 0:
-                    assert out.mask("v_mean")[i] and out.mask("v_max")[i]
-                    continue
-                assert out.values("v_mean")[i] == np.mean(live)
-                assert out.values("v_min")[i] == live.min()
-                assert out.values("v_max")[i] == live.max()
+            vals = nan_where(rng.uniform(size=n) < 0.2, vals)
+            out = aggregate_by_key(long_events(keys, variables, vals), "stay_id", ["v", "w"])
+            assert out.values("stay_id").tolist() == sorted(set(keys.tolist()))
+            for i, k in enumerate(out.values("stay_id")):
+                for name in "vw":
+                    live = vals[(keys == k) & (variables == name) & ~np.isnan(vals)]
+                    if live.size == 0:
+                        assert out.mask(f"{name}_mean")[i] and out.mask(f"{name}_max")[i]
+                        continue
+                    assert out.values(f"{name}_mean")[i] == np.mean(live)
+                    assert out.values(f"{name}_min")[i] == live.min()
+                    assert out.values(f"{name}_max")[i] == live.max()
 
-    def test_masked_key_rows_dropped_and_text_keys_group(self):
-        f = make_frame(k=("int", [2.0, 1.0, 2.0, np.nan]), v=("num", [1.0, 2.0, 3.0, 4.0]))
-        out = aggregate_by_key(f, "k", ["mean"])
-        assert out.values("k").tolist() == [2.0, 1.0]
-        assert out.values("v_mean").tolist() == [2.0, 2.0]
-        f = make_frame(k=("str", ["b", "a", "b"]), v=("num", [1.0, 2.0, 3.0]))
-        out = aggregate_by_key(f, "k", ["mean"])
-        assert out.values("k").tolist() == ["b", "a"]
-        assert out.values("v_mean").tolist() == [2.0, 2.0]
+    def test_masked_key_rows_dropped_and_keys_ascend(self):
+        f = long_events([2.0, 1.0, 2.0, np.nan, 3.0], ["v", "v", "v", "v", "x"],
+                        [1.0, 2.0, 3.0, 4.0, 5.0])
+        out = aggregate_by_key(f, "stay_id", ["v"])
+        assert out.values("stay_id").tolist() == [1.0, 2.0, 3.0]
+        assert out.values("v_mean").tolist()[:2] == [2.0, 2.0]
+        assert out.mask("v_mean").tolist() == [False, False, True]

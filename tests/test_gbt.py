@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from riskforge import gbt
 from riskforge.gbt import (GbtConfig, GbtModel, TreeNode, _tree_predict,
                            fit_gbt, gain_importance, load_model, predict_margin,
                            predict_proba, save_model, top_k_features)
@@ -68,13 +69,21 @@ class TestFit:
             losses.append(logistic_loss(y, f))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-    def test_leaf_weights_match_closed_form(self):
+    def test_leaf_weights_match_closed_form(self, monkeypatch):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((150, 3))
         y = (rng.uniform(size=150) < sigmoid(X[:, 0])).astype(float)
         cfg = GbtConfig(n_trees=5, subsample=0.8, reg_lambda=1.0, seed=4)
         record = []
-        model = fit_gbt(X, y, cfg, record=record)
+        grow = gbt._grow_tree
+
+        def recording_grow(X, g, h, rows, *args):
+            record.append((rows.copy(), g.copy(), h.copy()))
+            return grow(X, g, h, rows, *args)
+
+        monkeypatch.setattr(gbt, "_grow_tree", recording_grow)
+        model = fit_gbt(X, y, cfg)
+        assert len(record) == len(model.trees) == 5
         for nodes, (rows, g, h) in zip(model.trees, record):
             # route the subsample rows and recompute -G/(H+lambda) per leaf
             leaf_rows = {}

@@ -358,8 +358,11 @@ class TestStructuredFeatures:
             itemid=("int", [float(r[2]) for r in labs]),
             valuenum=("num", [r[3] for r in labs]))
         diagnoses = make_frame(hadm_id=("int", [10.0]), icd_code=("str", ["I509"]))
-        procs = make_frame(stay_id=("int", [200.0]), itemid=("int", [225792.0]))
-        inputs = make_frame(stay_id=("int", []), itemid=("int", []))
+        # stay 100 is ventilated only after its first 24h; the input is unlinked
+        procs = make_frame(stay_id=("int", [200.0, 100.0]), charttime=("time", [t(2), t(30)]),
+                           itemid=("int", [225792.0, 225792.0]))
+        inputs = make_frame(stay_id=("int", [999.0]), charttime=("time", [t(1)]),
+                            itemid=("int", [221289.0]))
         return build_structured_features(chartevents, labevents, diagnoses, procs,
                                          inputs, cohort)
 
@@ -386,7 +389,8 @@ class TestStructuredFeatures:
         assert out.values("lactate_mean").tolist()[0] == 2.0
         assert out.mask("lactate_mean").tolist() == [False, True]
         assert report["plausibility"] == {"hr": 1, "wbc": 1}
-        assert report["unlinked"] == {"chartevents": 1, "labevents": 0}
+        assert report["unlinked"] == {"chartevents": 1, "labevents": 0,
+                                      "procedureevents": 0, "inputevents": 1}
 
     def test_totals_and_flags(self):
         out, _ = self.build()

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riskforge.errors import AllMissingColumn, LayoutMismatch, SingularDesignWarning
-from riskforge.frame import PatientFrame
 from riskforge.glm import GlmFit
 from riskforge.impute import (ImputePolicy, MiceConfig, impute_single,
                               mice_impute, missingness_report, rubin_pool)

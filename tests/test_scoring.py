@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riskforge.errors import OutOfRange, SingleClass, TooFewRows
-from riskforge.scoring import (NEWS2_BANDS, NEWS2_RANGES, CalibrationBins, News2Input,
+from riskforge.scoring import (NEWS2_BANDS, NEWS2_RANGES, News2Input,
                                calibration, decision_curve, default_dca_grid,
                                news2_score, news2_scores, roc, threshold_metrics)
 
