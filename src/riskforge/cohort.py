@@ -99,7 +99,9 @@ def apply_age_filter(frame, cfg):
 
 
 def build_cohort(diagnoses, patients, icustays, admissions, cfg):
-    """Full cohort pipeline; one labeled record per subject, sorted by subject_id.
+    """Full cohort pipeline; one labeled record per subject, sorted by
+    subject_id: ``first_icu_stay`` emits the subjects in that order, and the
+    lookups and the age filter keep it.
 
     Each stay looks up its admission's diagnosis match, then the first stay
     of each subject looks up its patient and its admission; each of those
@@ -118,7 +120,7 @@ def build_cohort(diagnoses, patients, icustays, admissions, cfg):
         adm_cols.append("deathtime")
     with_adm = _lookup(adults, admissions.select(adm_cols), ["subject_id", "hadm_id"],
                        "inner", "admissions")
-    return label_mortality(with_adm).sort_by(["subject_id"])
+    return label_mortality(with_adm)
 
 
 def _lookup(left, right, keys, how, table):

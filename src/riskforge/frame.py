@@ -34,8 +34,9 @@ and returns each table as read_csv would read it back.
 A join is a lookup: each left row takes the one right row whose numeric
 keys all equal its own, found through ``index_of``, and a repeated right
 key is an error. The one group-by reduces long-format (key, variable,
-value) events to a per-key mean, min and max of each variable through one
-stable sort of (key, variable) cell codes.
+value) events, each variable an integer position in the caller's list of
+names, to a per-key mean, min and max of each variable through one stable
+sort of (key, variable) cell codes.
 """
 
 import csv
@@ -195,17 +196,6 @@ class PatientFrame:
     def rename(self, mapping):
         return PatientFrame([mapping.get(n, n) for n in self._names], self._kinds,
                             self._columns)
-
-    def sort_by(self, names):
-        """Stable ascending sort; missing cells order last within each level."""
-        order = np.arange(self.n_rows)
-        for name in reversed(names):
-            i = self._col(name)
-            col = self._columns[i][order]
-            if self._kinds[i] != "str":
-                col = np.nan_to_num(col, nan=np.inf)
-            order = order[np.argsort(col, kind="stable")]
-        return self.take(order)
 
     def equals(self, other):
         if self._names != other._names or self._kinds != other._kinds:
@@ -522,27 +512,25 @@ def join(left, right, keys, how):
 
 def aggregate_by_key(events, key, variables):
     """Per-key mean, min and max of each listed variable of long-format
-    ``events``: each row holds one value (``valuenum``) of one variable
-    (``variable``) for one ``key``.
+    ``events``: each row holds one value (``valuenum``) of one variable for
+    one ``key``, its ``variable`` a position in ``variables``.
 
     One output row per non-missing key, keys ascending, and a
     ``<variable>_mean``, ``_min`` and ``_max`` column per listed variable,
-    in order. A missing value never enters a statistic, and a (key,
-    variable) cell with no value is missing, so a key whose rows hold only
-    missing values or unlisted variables gets a row of missing cells. A
-    stable sort of the cell codes keeps each cell's values in row order:
-    its mean is bitwise ``np.mean`` of them.
+    in order. A missing value never enters a statistic, nor does a code
+    outside ``0..len(variables)-1``, and a (key, variable) cell with no
+    value is missing, so a key whose rows hold only missing values or
+    unlisted codes gets a row of missing cells. A stable sort of the cell
+    codes keeps each cell's values in row order: its mean is bitwise
+    ``np.mean`` of them.
     """
     kvals = events.values(key)
     live = ~np.isnan(kvals)
     keys, kcode = np.unique(kvals[live], return_inverse=True)
-    var = events.values("variable")[live]
-    slot = np.full(var.size, -1)
-    for j, name in enumerate(variables):
-        slot[var == name] = j
+    slot = events.values("variable")[live]
     vals = events.values("valuenum")[live]
-    ok = (slot >= 0) & ~np.isnan(vals)
-    cell = kcode[ok] * len(variables) + slot[ok]
+    ok = (slot >= 0) & (slot < len(variables)) & ~np.isnan(vals)
+    cell = kcode[ok] * len(variables) + slot[ok].astype(int)
     order = np.argsort(cell, kind="stable")
     cell, vals = cell[order], vals[ok][order]
     starts = np.flatnonzero(np.diff(cell, prepend=-1))
@@ -551,12 +539,11 @@ def aggregate_by_key(events, key, variables):
     stats[:, cell[starts]] = (segment_means(vals, starts, counts),
                               np.minimum.reduceat(vals, starts),
                               np.maximum.reduceat(vals, starts))
-    stats = stats.reshape(3, len(keys), len(variables))
-    out = [(key, events.kind(key), keys)]
-    for j, name in enumerate(variables):
-        out += [(f"{name}_{stat}", "num", stats[i, :, j])
-                for i, stat in enumerate(("mean", "min", "max"))]
-    return PatientFrame.from_columns(out)
+    names = [f"{name}_{stat}" for name in variables for stat in ("mean", "min", "max")]
+    # one row per output column, by variable and then statistic
+    stats = stats.reshape(3, len(keys), len(variables)).transpose(2, 0, 1)
+    return PatientFrame([key] + names, [events.kind(key)] + ["num"] * len(names),
+                        [keys, *stats.reshape(len(names), len(keys))])
 
 
 def segment_means(values, starts, counts):

@@ -5,7 +5,8 @@ windowing of every event table, unit alignment (temperature, arterial vs
 cuff blood pressure), plausibility masking with per-rule removal counts,
 per-key mean/min/max of the long-format (variable, value) events through
 ``frame.aggregate_by_key``, GCS totals, and binary comorbidity/treatment
-flags.
+flags. Each itemid becomes its name's position in ``CHART_NAMES`` or
+``LAB_NAMES``: pooling, masking and aggregation work on that integer code.
 """
 
 from collections import Counter
@@ -19,16 +20,17 @@ from .frame import (PatientFrame, aggregate_by_key, index_of, join, require_uniq
 
 WINDOW_SECONDS = 24 * 3600.0
 
-# chartevents itemid -> harmonized vital name ("bt_c" rows carry Celsius)
+# chartevents itemid -> harmonized vital name
 VITAL_ITEMS = {
     220045: "hr",
     220050: "sbp", 220179: "sbp",
     220051: "dbp", 220180: "dbp",
     220052: "mbp", 220181: "mbp",
     220210: "rr",
-    223761: "bt", 223762: "bt_c",
+    223761: "bt", 223762: "bt",
     220277: "spo2",
 }
+CELSIUS_ITEM = 223762  # a temperature charted in Celsius under any unit label
 
 GCS_ITEMS = {220739: "gcs_eye", 223900: "gcs_verbal", 223901: "gcs_motor"}
 
@@ -43,6 +45,7 @@ LAB_ITEMS = {
 VITAL_NAMES = ("hr", "sbp", "dbp", "mbp", "rr", "bt", "spo2")
 LAB_NAMES = tuple(sorted(set(LAB_ITEMS.values())))
 GCS_NAMES = ("gcs_eye", "gcs_verbal", "gcs_motor")
+CHART_NAMES = VITAL_NAMES + GCS_NAMES
 
 COMORBIDITY_CODES = {
     "hypertension": ("401", "I10"),
@@ -163,21 +166,21 @@ def gcs_total(eye, verbal, motor):
     return float(out) if np.ndim(eye) == 0 else out
 
 
-def _item_names(itemids, table):
-    """Harmonized name per itemid; '' where ``table`` has none."""
-    codes = np.array(sorted(table), dtype=float)
-    names = np.array([table[c] for c in sorted(table)] + [""], dtype=object)
-    pos = index_of(codes, itemids)
-    return names[np.where(pos >= 0, pos, len(codes))]
+def _variable_codes(itemids, table, names):
+    """Position in ``names`` of each itemid's name; -1 where ``table`` has none."""
+    items = sorted(table)
+    codes = np.array([names.index(table[i]) for i in items] + [-1])
+    # -1 (no item) picks the -1 appended to the codes
+    return codes[index_of(np.array(items, dtype=float), itemids)]
 
 
 def _events_to_variables(chartevents):
-    """Map itemids to harmonized names; align temperature to Fahrenheit."""
+    """Code chart events by ``CHART_NAMES``; align temperature to Fahrenheit."""
     val = chartevents.values("valuenum")
-    names = _item_names(chartevents.values("itemid"), {**VITAL_ITEMS, **GCS_ITEMS})
-    keep = ~np.isnan(val) & (names != "")
-    celsius = names == "bt_c"
-    bt = np.flatnonzero(names == "bt")
+    item = chartevents.values("itemid")
+    code = _variable_codes(item, {**VITAL_ITEMS, **GCS_ITEMS}, CHART_NAMES)
+    keep = ~np.isnan(val) & (code >= 0)
+    bt = np.flatnonzero(code == CHART_NAMES.index("bt"))
     if chartevents.has_column("valueuom"):
         # each distinct unit string is read once
         units, inv = np.unique(chartevents.values("valueuom")[bt], return_inverse=True)
@@ -186,12 +189,11 @@ def _events_to_variables(chartevents):
         unlabelled = np.array([u == "" for u in units], dtype=bool)[inv]
     else:
         labelled, unlabelled = False, True
-    celsius[bt] = labelled | (unlabelled & detect_celsius(val[bt]))
-    names[celsius] = "bt"
+    celsius = bt[(item[bt] == CELSIUS_ITEM) | labelled | (unlabelled & detect_celsius(val[bt]))]
     out_vals = val.copy()
     out_vals[celsius] = convert_temperature(val[celsius], "C")
     out = chartevents.filter(keep)
-    out = out.with_column("variable", "str", names[keep])
+    out = out.with_column("variable", "int", code[keep])
     return out.with_column("valuenum", "num", out_vals[keep])
 
 
@@ -200,7 +202,7 @@ def _pool_duplicate_measurements(events, key):
     one row per (key, variable, charttime), in that order. The readings of
     one row are summed in ascending value order, so the mean does not
     depend on the order of the input rows."""
-    variables, var = np.unique(events.values("variable"), return_inverse=True)
+    var = events.values("variable")
     kvals = events.values(key)
     tvals = events.values("charttime")
     values = events.values("valuenum")
@@ -213,7 +215,7 @@ def _pool_duplicate_measurements(events, key):
     pooled = segment_means(values[order], starts, counts)
     return PatientFrame.from_columns([
         (key, "int", kvals[starts]),
-        ("variable", "str", variables[var[starts]]),
+        ("variable", "int", var[starts]),
         ("charttime", "time", tvals[starts]),
         ("valuenum", "num", pooled),
     ])
@@ -274,17 +276,16 @@ def build_structured_features(chartevents, labevents, diagnoses, proc_events,
 
     chart_vars = _events_to_variables(chart_w)
     chart_vars = _pool_duplicate_measurements(chart_vars, "stay_id")
-    chart_vars, chart_counts = _apply_rules_long(chart_vars, rules)
+    chart_vars, chart_counts = _apply_rules_long(chart_vars, rules, CHART_NAMES)
 
-    lab_names = _item_names(labs_w.values("itemid"), LAB_ITEMS)
-    labs_long = labs_w.filter(lab_names != "")
-    labs_long = labs_long.with_column("variable", "str", lab_names[lab_names != ""])
-    labs_long, lab_counts = _apply_rules_long(labs_long, rules)
+    lab_codes = _variable_codes(labs_w.values("itemid"), LAB_ITEMS, LAB_NAMES)
+    labs_long = labs_w.with_column("variable", "int", lab_codes)
+    labs_long, lab_counts = _apply_rules_long(labs_long, rules, LAB_NAMES)
 
     report = {"unlinked": unlinked,
               "plausibility": dict(Counter(chart_counts) + Counter(lab_counts))}
 
-    vital_agg = aggregate_by_key(chart_vars, "stay_id", VITAL_NAMES + GCS_NAMES)
+    vital_agg = aggregate_by_key(chart_vars, "stay_id", CHART_NAMES)
     vital_agg = derive_mbp(vital_agg)
     lab_agg = aggregate_by_key(labs_long, "hadm_id", LAB_NAMES)
 
@@ -306,17 +307,18 @@ def build_structured_features(chartevents, labevents, diagnoses, proc_events,
     return out, report
 
 
-def _apply_rules_long(events, rules):
-    """Plausibility masking for long-format (variable, valuenum) events."""
-    by_var = {r.variable: r for r in rules}
-    variables, var = np.unique(events.values("variable"), return_inverse=True)
-    rule = [by_var.get(str(v)) for v in variables]
-    lower = np.array([np.nan if r is None else r.lower for r in rule], dtype=float)[var]
-    upper = np.array([np.nan if r is None else r.upper for r in rule], dtype=float)[var]
+def _apply_rules_long(events, rules, names):
+    """Plausibility masking of long-format events, each ``variable`` a
+    position in ``names`` or -1; returns (events, nonzero {name: count})."""
+    by_var = {r.variable: (r.lower, r.upper) for r in rules}
+    # -1 (no variable) picks the NaN bounds appended to the table
+    bounds = np.array([by_var.get(n, (np.nan, np.nan)) for n in names] + [(np.nan, np.nan)])
+    var = events.values("variable").astype(int)
+    lower, upper = bounds[var].T
     vals = events.values("valuenum")
     newly = (vals < lower) | (vals > upper)
-    removed = np.bincount(var[newly], minlength=len(variables))
-    counts = {str(v): int(c) for v, c in zip(variables, removed) if c}
+    removed = np.bincount(var[newly], minlength=len(names))
+    counts = {n: int(c) for n, c in zip(names, removed) if c}
     if newly.any():
         vals[newly] = np.nan
         events = events.with_column("valuenum", "num", vals)

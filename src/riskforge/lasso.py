@@ -43,9 +43,6 @@ class CvCurve:
     lambda_min: float
     lambda_1se: float
     lambda_selected: float
-    fold_count: int
-    seed: int
-    rule: str = "pct75"
     capped_folds: np.ndarray = None  # per penalty, folds stopped at CV_MAX_ITER
 
 
@@ -169,8 +166,7 @@ def cv_deviance(X, y, *, grid_size=100, n_folds=10, seed=0, keys=None,
     lam_min = float(grid[i_min])
     within = mean <= mean[i_min] + se[i_min]
     lam_1se = float(grid[np.flatnonzero(within)[0]])  # grid descends: first hit is max
-    curve = CvCurve(grid, mean, se, lam_min, lam_1se, 0.0, n_folds, seed, rule,
-                    capped_folds)
+    curve = CvCurve(grid, mean, se, lam_min, lam_1se, 0.0, capped_folds)
     curve.lambda_selected = select_lambda(curve, rule)
     return curve
 

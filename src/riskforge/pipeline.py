@@ -406,7 +406,6 @@ def _alias(cfg, pairs):
 
 def run_fit(cfg):
     y, keys, mats, text_fm, train_idx, split = _load_matrices(cfg, "fit", cfg.mice_m)
-    _need(os.path.join(cfg.out_dir, "split.csv"), "fit")
     outs = []
 
     for variant in VARIANTS:

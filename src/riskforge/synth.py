@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InfeasiblePrevalence
 from .frame import PatientFrame, parse_time, write_csv
-from .harmonize import GCS_ITEMS, LAB_ITEMS, VITAL_ITEMS, VITAL_NAMES, GCS_NAMES
+from .harmonize import CELSIUS_ITEM, GCS_ITEMS, GCS_NAMES, LAB_ITEMS, VITAL_ITEMS, VITAL_NAMES
 from .scoring import roc
 
 BASE_TIME = parse_time("2150-01-01 00:00:00")
@@ -71,10 +71,7 @@ VARIABLE_SPECS = {
 }
 
 ITEMID_OF = {}
-for _item, _name in {**VITAL_ITEMS, **GCS_ITEMS}.items():
-    if _name not in ITEMID_OF and _name != "bt_c":
-        ITEMID_OF[_name] = _item
-for _item, _name in LAB_ITEMS.items():
+for _item, _name in {**VITAL_ITEMS, **GCS_ITEMS, **LAB_ITEMS}.items():
     ITEMID_OF.setdefault(_name, _item)
 
 DEFAULT_TRUE_BETA = {
@@ -464,7 +461,7 @@ def _write_events(sim, rng, out_dir):
         if name == "bt":
             # a third of temperature rows arrive in Celsius
             celsius = (rows + np.tile(np.arange(n_draws), len(stays))) % 3 == 0
-            items[celsius] = 223762.0
+            items[celsius] = float(CELSIUS_ITEM)
             values = np.where(celsius, (values - 32.0) * 5.0 / 9.0, values)
             units[celsius] = "C"
         (chart if name in vital_set else lab).append((rows, times, items, values, units))

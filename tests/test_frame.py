@@ -172,15 +172,16 @@ class TestJoin:
         assert out.n_rows == len(set(lk) & set(rk))
 
 
-def long_events(keys, variables, values):
-    """Long-format events: one (stay_id, variable, valuenum) per row."""
-    return PatientFrame.from_columns([("stay_id", "int", keys), ("variable", "str", variables),
+def long_events(keys, codes, values):
+    """Long-format events: one (stay_id, variable, valuenum) per row, each
+    variable a position in the list of names it is aggregated under."""
+    return PatientFrame.from_columns([("stay_id", "int", keys), ("variable", "int", codes),
                                       ("valuenum", "num", values)])
 
 
 class TestAggregate:
     def test_mean_min_max(self):
-        f = long_events([7.0, 7.0], ["hr", "hr"], [60.0, 80.0])
+        f = long_events([7.0, 7.0], [0, 0], [60.0, 80.0])
         out = aggregate_by_key(f, "stay_id", ["hr"])
         assert out.names == ["stay_id", "hr_mean", "hr_min", "hr_max"]
         assert out.values("hr_mean").tolist() == [70.0]
@@ -188,14 +189,14 @@ class TestAggregate:
         assert out.values("hr_max").tolist() == [80.0]
 
     def test_all_masked_group_stays_masked(self):
-        f = long_events([7.0, 7.0], ["hr", "hr"], [np.nan, np.nan])
+        f = long_events([7.0, 7.0], [0, 0], [np.nan, np.nan])
         out = aggregate_by_key(f, "stay_id", ["hr"])
         assert out.values("stay_id").tolist() == [7.0]
         assert out.mask("hr_mean").tolist() == [True]
         assert out.mask("hr_min").tolist() == [True]
 
     def test_single_value_identity(self):
-        f = long_events([1.0], ["bt"], [98.6])
+        f = long_events([1.0], [0], [98.6])
         out = aggregate_by_key(f, "stay_id", ["bt"])
         assert out.values("bt_mean")[0] == out.values("bt_min")[0] == 98.6
 
@@ -203,21 +204,22 @@ class TestAggregate:
         rng = np.random.default_rng(5)
         n = 600
         keys = rng.integers(0, 40, n).astype(float)
-        variables = rng.choice(["v", "w", "unlisted"], n)
+        # 0 is w, 1 is v; -1 and 2 are outside the list
+        codes = rng.integers(-1, 3, n)
         vals = nan_where(rng.uniform(size=n) < 0.25, rng.normal(50, 10, n))
-        out = aggregate_by_key(long_events(keys, variables, vals), "stay_id", ["w", "v"])
+        out = aggregate_by_key(long_events(keys, codes, vals), "stay_id", ["w", "v"])
         assert out.names[1:] == [f"{v}_{s}" for v in "wv" for s in ("mean", "min", "max")]
 
         # independent oracle: plain python scan
         oracle = {}
-        for k, name, v in zip(keys, variables, vals):
+        for k, code, v in zip(keys, codes, vals):
             if not math.isnan(v):
-                oracle.setdefault((k, name), []).append(v)
+                oracle.setdefault((k, int(code)), []).append(v)
         assert out.values("stay_id").tolist() == sorted(set(keys.tolist()))
         for i, k in enumerate(out.values("stay_id")):
-            for name in "vw":
-                if (k, name) in oracle:
-                    vs = oracle[k, name]
+            for code, name in enumerate("wv"):
+                if (k, code) in oracle:
+                    vs = oracle[k, code]
                     assert out.values(f"{name}_mean")[i] == pytest.approx(sum(vs) / len(vs))
                     assert out.values(f"{name}_min")[i] == min(vs)
                     assert out.values(f"{name}_max")[i] == max(vs)
@@ -741,13 +743,13 @@ class TestJoinOracle:
 
 def reference_aggregate(events, key, variables):
     """The wide path that ``aggregate_by_key`` replaced: sort the events by
-    key, spread each variable into a column that is NaN on every other
-    variable's rows, and group that wide table by key in first-appearance
-    order, which the sort makes ascending."""
-    events = events.sort_by([key])
+    key (missing keys last), spread each variable into a column that is NaN
+    on every other variable's rows, and group that wide table by key in
+    first-appearance order, which the sort makes ascending."""
+    events = events.take(np.argsort(events.values(key), kind="stable"))
     keys = events.values(key)
-    wide = [np.where(events.values("variable") == name, events.values("valuenum"), np.nan)
-            for name in variables]
+    wide = [np.where(events.values("variable") == code, events.values("valuenum"), np.nan)
+            for code in range(len(variables))]
     live = np.flatnonzero(~np.isnan(keys))
     _, first, inv = np.unique(keys[live], return_index=True, return_inverse=True)
     n_groups = len(first)
@@ -798,7 +800,9 @@ class TestAggregateOracle:
             vals = nan_where(rng.uniform(size=n) < rng.uniform(0, 0.6), vals)
             vals[rng.uniform(size=n) < 0.05] = -0.0
             listed = [str(v) for v in rng.permutation(pool)[:int(rng.integers(0, 4))]]
-            events = long_events(keys, variables, vals)
+            # each name as its position in the list, an unlisted one as -1
+            codes = [listed.index(v) if v in listed else -1 for v in variables]
+            events = long_events(keys, codes, vals)
             assert_bitwise_equal(aggregate_by_key(events, "stay_id", listed),
                                  reference_aggregate(events, "stay_id", listed))
             in_list = np.isin(variables, listed)
@@ -816,14 +820,14 @@ class TestAggregateOracle:
         for _ in range(20):
             n = int(rng.integers(1, 3000))
             keys = rng.integers(0, int(rng.integers(1, 60)), n).astype(float)
-            variables = rng.choice(["v", "w"], n)
+            codes = rng.integers(0, 2, n)
             vals = rng.normal(0, 1, n) * 10.0 ** rng.integers(-3, 6, n)
             vals = nan_where(rng.uniform(size=n) < 0.2, vals)
-            out = aggregate_by_key(long_events(keys, variables, vals), "stay_id", ["v", "w"])
+            out = aggregate_by_key(long_events(keys, codes, vals), "stay_id", ["v", "w"])
             assert out.values("stay_id").tolist() == sorted(set(keys.tolist()))
             for i, k in enumerate(out.values("stay_id")):
-                for name in "vw":
-                    live = vals[(keys == k) & (variables == name) & ~np.isnan(vals)]
+                for code, name in enumerate("vw"):
+                    live = vals[(keys == k) & (codes == code) & ~np.isnan(vals)]
                     if live.size == 0:
                         assert out.mask(f"{name}_mean")[i] and out.mask(f"{name}_max")[i]
                         continue
@@ -832,7 +836,7 @@ class TestAggregateOracle:
                     assert out.values(f"{name}_max")[i] == live.max()
 
     def test_masked_key_rows_dropped_and_keys_ascend(self):
-        f = long_events([2.0, 1.0, 2.0, np.nan, 3.0], ["v", "v", "v", "v", "x"],
+        f = long_events([2.0, 1.0, 2.0, np.nan, 3.0], [0, 0, 0, 0, -1],
                         [1.0, 2.0, 3.0, 4.0, 5.0])
         out = aggregate_by_key(f, "stay_id", ["v"])
         assert out.values("stay_id").tolist() == [1.0, 2.0, 3.0]

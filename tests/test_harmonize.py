@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from riskforge.errors import ComponentOutOfRange, DuplicateCohortRow
 from riskforge.frame import PatientFrame
-from riskforge.harmonize import (DEFAULT_PLAUSIBILITY, PlausibilityRule,
+from riskforge.harmonize import (CELSIUS_ITEM, CHART_NAMES, DEFAULT_PLAUSIBILITY, GCS_ITEMS,
+                                 LAB_ITEMS, LAB_NAMES, VITAL_ITEMS, PlausibilityRule,
                                  _apply_rules_long, _pool_duplicate_measurements,
                                  binary_flags,
                                  convert_temperature, derive_mbp,
@@ -196,43 +197,51 @@ class TestMeanBp:
         assert not out.mask("mbp_mean").any()
 
 
-def long_events(variable, values):
-    """Long-format (variable, valuenum) events, all of one variable."""
-    return make_frame(variable=("str", [variable] * len(values)),
+def long_events(code, values):
+    """Long-format (variable, valuenum) events, all of one variable code."""
+    return make_frame(variable=("int", [float(code)] * len(values)),
                       valuenum=("num", values))
 
 
 class TestPlausibility:
+    NAMES = ("lactate", "wbc", "glucose")
+
     def test_wbc_below_lower_masked(self):
-        out, counts = _apply_rules_long(long_events("wbc", [0.5]),
-                                        [PlausibilityRule("wbc", 1, 50)])
+        out, counts = _apply_rules_long(long_events(1, [0.5]),
+                                        [PlausibilityRule("wbc", 1, 50)], self.NAMES)
         assert out.mask("valuenum").tolist() == [True]
         assert counts == {"wbc": 1}
 
     def test_glucose_above_upper_masked(self):
-        out, counts = _apply_rules_long(long_events("glucose", [601.0]),
-                                        [PlausibilityRule("glucose", 10, 600)])
+        out, counts = _apply_rules_long(long_events(2, [601.0]),
+                                        [PlausibilityRule("glucose", 10, 600)], self.NAMES)
         assert out.mask("valuenum").tolist() == [True]
         assert counts == {"glucose": 1}
 
     def test_lactate_in_range_kept(self):
-        out, counts = _apply_rules_long(long_events("lactate", [4.0]),
-                                        [PlausibilityRule("lactate", 0.1, 20)])
+        out, counts = _apply_rules_long(long_events(0, [4.0]),
+                                        [PlausibilityRule("lactate", 0.1, 20)], self.NAMES)
         assert not out.mask("valuenum").any()
         assert counts == {}  # only variables with removals are counted
 
     def test_rows_survive_masking(self):
-        out, counts = _apply_rules_long(long_events("wbc", [0.5, 12.0]),
-                                        [PlausibilityRule("wbc", 1, 50)])
+        out, counts = _apply_rules_long(long_events(1, [0.5, 12.0]),
+                                        [PlausibilityRule("wbc", 1, 50)], self.NAMES)
         assert out.n_rows == 2
         assert out.mask("valuenum").tolist() == [True, False]
         assert counts == {"wbc": 1}
+
+    def test_no_rule_and_no_variable_mask_nothing(self):
+        rules = [PlausibilityRule("wbc", 1, 50)]
+        for code in (0, -1):
+            out, counts = _apply_rules_long(long_events(code, [-1e9, 1e9]), rules, self.NAMES)
+            assert not out.mask("valuenum").any() and counts == {}
 
     def test_every_retained_cell_satisfies_rule(self):
         rng = np.random.default_rng(2)
         values = rng.uniform(-5, 80, 200)
         rule = PlausibilityRule("wbc", 1, 50)
-        out, counts = _apply_rules_long(long_events("wbc", values), [rule])
+        out, counts = _apply_rules_long(long_events(1, values), [rule], self.NAMES)
         vals, mask = out.values("valuenum"), out.mask("valuenum")
         live = vals[~mask]
         assert np.all((live >= rule.lower) & (live <= rule.upper))
@@ -297,7 +306,7 @@ class TestPooling:
 
     def pooled(self, readings):
         events = make_frame(stay_id=("int", [7.0] * len(readings)),
-                            variable=("str", ["hr"] * len(readings)),
+                            variable=("int", [0.0] * len(readings)),
                             charttime=("time", [HOUR] * len(readings)),
                             valuenum=("num", list(readings)))
         return _pool_duplicate_measurements(events, "stay_id")
@@ -399,3 +408,66 @@ class TestStructuredFeatures:
         assert out.values("heart_failure").tolist() == [1.0, 0.0]
         assert out.values("received_ventilation").tolist() == [0.0, 1.0]
         assert out.values("subject_id").tolist() == [1.0, 2.0]
+
+
+class TestEveryItem:
+    """Every itemid of the chart and lab tables reaches its own feature
+    column; a temperature is in Fahrenheit there."""
+
+    T0 = 1_000_000.0
+
+    def build(self, chart, labs):
+        """One stay per event: ``chart`` rows are (itemid, unit, value),
+        ``labs`` rows (itemid, value); no plausibility rule applies."""
+        n = len(chart) + len(labs)
+        ids = np.arange(1.0, n + 1)
+        cohort = make_frame(subject_id=("int", ids), hadm_id=("int", 10 * ids),
+                            stay_id=("int", 100 * ids), anchor_age=("num", [60.0] * n),
+                            in_hospital_death=("int", [0.0] * n),
+                            intime=("time", [self.T0] * n))
+        c, lab = ids[:len(chart)], ids[len(chart):]
+        chartevents = make_frame(
+            stay_id=("int", 100 * c), charttime=("time", np.full(c.size, self.T0 + HOUR)),
+            itemid=("int", [float(r[0]) for r in chart]),
+            valuenum=("num", [r[2] for r in chart]), valueuom=("str", [r[1] for r in chart]))
+        labevents = make_frame(
+            hadm_id=("int", 10 * lab), charttime=("time", np.full(lab.size, self.T0 + HOUR)),
+            itemid=("int", [float(r[0]) for r in labs]), valuenum=("num", [r[1] for r in labs]))
+        none = make_frame(stay_id=("int", []), charttime=("time", []), itemid=("int", []))
+        diagnoses = make_frame(hadm_id=("int", []), icd_code=("str", []))
+        out, _ = build_structured_features(chartevents, labevents, diagnoses, none, none,
+                                           cohort, rules=())
+        return out
+
+    def test_every_itemid_reaches_its_mean_column(self):
+        chart_items = {**VITAL_ITEMS, **GCS_ITEMS}
+        # values of 50 and above: an unlabelled 223761 reading stays Fahrenheit
+        chart = [(item, "", 60.0 + k) for k, item in enumerate(chart_items)]
+        labs = [(item, 60.0 + len(chart) + k) for k, item in enumerate(LAB_ITEMS)]
+        # the Celsius item converts under any unit label; 223761 only when
+        # labelled Celsius or, unlabelled, below 50
+        labels = ("", "C", "°C", "celsius", "F", "mmHg")
+        temps = [(item, unit, value) for item in (223761, CELSIUS_ITEM) for unit in labels
+                 for value in (37.0, 99.0)]
+        out = self.build(chart + temps, labs)
+        assert set(chart_items.values()) == set(CHART_NAMES)
+        assert set(LAB_ITEMS.values()) == set(LAB_NAMES)
+
+        means = [n for n in out.names if n.endswith("_mean")]
+        live = ~np.isnan(out.matrix(means))
+        for row, (item, unit, value) in enumerate(chart):
+            name = chart_items[item]
+            want = convert_temperature(value, "C") if item == CELSIUS_ITEM else value
+            assert out.values(f"{name}_mean")[row] == want, item
+            assert live[row].tolist() == [m == f"{name}_mean" for m in means], item
+        for row, (item, value) in enumerate(labs, start=len(chart) + len(temps)):
+            assert out.values(f"{LAB_ITEMS[item]}_mean")[row] == value, item
+            assert live[row].sum() == 1, item
+        converted = 0
+        for row, (item, unit, value) in enumerate(temps, start=len(chart)):
+            celsius = (item == CELSIUS_ITEM or unit in ("C", "°C", "celsius")
+                       or (unit == "" and value < 50))
+            converted += celsius
+            want = convert_temperature(value, "C") if celsius else value
+            assert out.values("bt_mean")[row] == want, (item, unit, value)
+        assert 0 < converted < len(temps)

@@ -261,8 +261,7 @@ def reference_cv_curve(X, y, grid_size, n_folds, seed, rule="pct75"):
     i_min = int(np.argmin(mean))
     within = mean <= mean[i_min] + se[i_min]
     curve = CvCurve(grid, mean, se, float(grid[i_min]),
-                    float(grid[np.flatnonzero(within)[0]]), 0.0, n_folds, seed,
-                    rule, capped_folds)
+                    float(grid[np.flatnonzero(within)[0]]), 0.0, capped_folds)
     curve.lambda_selected = select_lambda(curve, rule)
     return curve
 
@@ -371,7 +370,7 @@ class TestEarlyStop:
 class TestSelectLambda:
     def curve(self, lam_min, lam_1se):
         return CvCurve(np.array([lam_1se, lam_min]), np.array([1.0, 0.9]),
-                       np.array([0.1, 0.1]), lam_min, lam_1se, 0.0, 10, 0)
+                       np.array([0.1, 0.1]), lam_min, lam_1se, 0.0)
 
     def test_degenerate_interval_all_rules_equal(self):
         c = self.curve(0.5, 0.5)
