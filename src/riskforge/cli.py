@@ -26,16 +26,14 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = validate_config(args.config)
+        overrides = {}
         if args.out is not None:
             # synth produces the pipeline's input tables, so its --out names
             # the data directory the later stages read from
-            if args.stage == "synth":
-                cfg.data_dir = args.out
-            else:
-                cfg.out_dir = args.out
+            overrides["data_dir" if args.stage == "synth" else "out_dir"] = args.out
         if args.seed is not None:
-            cfg.seed = args.seed
+            overrides["seed"] = args.seed
+        cfg = validate_config(args.config, overrides)
         if args.echo_config:
             sys.stdout.write(echo_config(cfg))
         artifacts = run_stage(args.stage, cfg)

@@ -138,8 +138,10 @@ def _parse_impute(parser):
     return tuple(out)
 
 
-def validate_config(path):
-    """Parse and validate; unknown keys are errors, missing ones default."""
+def validate_config(path, overrides=None):
+    """Parse and validate; unknown keys are errors, missing ones default.
+    ``overrides`` (field -> command-line value) win and are never defaulted."""
+    overrides = overrides or {}
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path, encoding="utf-8")
@@ -169,9 +171,9 @@ def validate_config(path):
             if check is not None and not check(v):
                 raise ConfigInvalid(dotted, f"value {v!r} out of range")
             values[attr] = v
-        else:
+        elif attr not in overrides:
             defaulted.append(dotted)
-    cfg = RunConfig(**values,
+    cfg = RunConfig(**{**values, **overrides},
                     plausibility_overrides=_parse_plausibility(parser),
                     impute_overrides=_parse_impute(parser),
                     defaulted=tuple(sorted(defaulted)))

@@ -14,11 +14,11 @@ in deliberately so the cohort and cleaning stages have real work to do.
 
 Tables are built a column at a time, and every draw comes from the same
 generator in the same order as one draw per row would: PCG64 spends one
-64-bit word per double whether doubles are drawn singly or as an array.
-Loops remain only where that order cannot be kept in an array draw: where
-``integers`` (which takes buffered 32-bit halves of a word) interleaves
-with doubles (note tokens, diagnoses, notes with their embeddings), and
-where a row's second draw depends on its first (deaths).
+64-bit word per double, singly or as an array. A draw on [0, 1) is
+``random``, the double ``uniform(0, 1)`` returns at under a third of the
+cost. Loops remain only where ``integers`` (buffered 32-bit halves of a
+word) interleaves with doubles (note tokens, diagnoses, notes and their
+embeddings), and where a row's second draw depends on its first (deaths).
 """
 
 import math
@@ -227,10 +227,10 @@ def simulate(cfg):
 
     flags = {}
     for name, (_, rate) in COMORBIDITY_RATES.items():
-        flags[name] = (rng.uniform(size=n) < rate).astype(float)
-    flags["received_ventilation"] = (rng.uniform(size=n) < cfg.vent_rate).astype(float)
-    flags["epinephrine"] = (rng.uniform(size=n) < cfg.epi_rate).astype(float)
-    flags["dopamine"] = (rng.uniform(size=n) < cfg.dopa_rate).astype(float)
+        flags[name] = (rng.random(n) < rate).astype(float)
+    flags["received_ventilation"] = (rng.random(n) < cfg.vent_rate).astype(float)
+    flags["epinephrine"] = (rng.random(n) < cfg.epi_rate).astype(float)
+    flags["dopamine"] = (rng.random(n) < cfg.dopa_rate).astype(float)
     for name, arr in flags.items():
         features[name] = arr
 
@@ -249,7 +249,7 @@ def simulate(cfg):
 
     b0 = _solve_intercept(signal, cfg.prevalence)
     eta = b0 + signal
-    y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
 
     death = np.full(n, np.nan)
     # row by row: a survivor's second draw depends on its first
@@ -257,17 +257,17 @@ def simulate(cfg):
         if y[i] == 1.0:
             death[i] = intime[i] + rng.uniform(DAY, max(DAY * 1.5, dischtime[i] - intime[i]))
             death[i] = min(round(death[i]), dischtime[i])
-        elif rng.uniform() < cfg.postdischarge_death_fraction:
+        elif rng.random() < cfg.postdischarge_death_fraction:
             death[i] = round(dischtime[i] + rng.uniform(DAY, 30 * DAY))
 
     masked = {}
     for name in specs:
         rate = cfg.missing_rates.get(name, 0.0)
-        masked[name] = rng.uniform(size=n) < rate
+        masked[name] = rng.random(n) < rate
 
     note_present = {}
     for kind in ("discharge", "radiology"):
-        note_present[kind] = rng.uniform(size=n) < cfg.note_coverage.get(kind, 0.0)
+        note_present[kind] = rng.random(n) < cfg.note_coverage.get(kind, 0.0)
 
     bayes_auc = roc(eta, y).auc
     truth = {
@@ -307,20 +307,20 @@ def _render_note(rng, latent, filler):
     tokens = []
     # row by row: integer draws interleave with doubles
     for _ in range(length):
-        u = rng.uniform()
+        u = rng.random()
         if u < p_risk:
             tokens.append(RISK_TOKENS[int(rng.integers(len(RISK_TOKENS)))])
         elif u < p_risk + p_prot:
             tokens.append(PROTECT_TOKENS[int(rng.integers(len(PROTECT_TOKENS)))])
         else:
             tokens.append(filler[int(rng.integers(len(filler)))])
-        if rng.uniform() < 0.08:
+        if rng.random() < 0.08:
             tokens.append("the")
-        if rng.uniform() < 0.05:
+        if rng.random() < 0.05:
             tokens.append("___")
-        if rng.uniform() < 0.04:
+        if rng.random() < 0.04:
             tokens.append(str(int(rng.integers(100))))
-    stops = rng.uniform(size=len(tokens)) < 0.1
+    stops = rng.random(len(tokens)) < 0.1
     return "".join(t + (". " if stop else " ") for t, stop in zip(tokens, stops)).strip()
 
 
@@ -347,7 +347,7 @@ def generate(cfg, out_dir):
     minor_stay = 38_000_000 + np.arange(n_minor)
     pat_subj = np.concatenate([sim.subject_id, minor_subj])
     pat_age = np.concatenate([sim.anchor_age, rng.integers(5, 18, n_minor)])
-    gender = np.where(rng.uniform(size=len(pat_subj)) < 0.44, "F", "M")
+    gender = np.where(rng.random(len(pat_subj)) < 0.44, "F", "M")
     write_csv(PatientFrame.from_columns([
         ("subject_id", "int", pat_subj.astype(float)),
         ("anchor_age", "int", pat_age.astype(float)),
@@ -362,7 +362,7 @@ def generate(cfg, out_dir):
         d_code.append(code); d_seq.append(float(seq))
 
     arrest_choice = rng.integers(0, len(ARREST_CODES), n)
-    dup_rows = rng.uniform(size=n) < 0.05
+    dup_rows = rng.random(n) < 0.05
     # row by row: integer draws interleave with doubles
     for i in range(n):
         diag(sim.subject_id[i], sim.hadm_id[i], ARREST_CODES[arrest_choice[i]])
@@ -373,7 +373,7 @@ def generate(cfg, out_dir):
             if sim.flags[name][i] == 1.0:
                 diag(sim.subject_id[i], sim.hadm_id[i], code + "9", seq)
                 seq += 1
-        if rng.uniform() < 0.3:
+        if rng.random() < 0.3:
             diag(sim.subject_id[i], sim.hadm_id[i],
                  NOISE_CODES[int(rng.integers(len(NOISE_CODES)))], seq)
     for j in range(n_minor):
@@ -386,7 +386,7 @@ def generate(cfg, out_dir):
     ]), os.path.join(out_dir, "diagnoses_icd.csv"))
 
     # icustays: the index stay, later repeat stays, and minor stays
-    extra = np.flatnonzero(rng.uniform(size=n) < cfg.extra_stay_fraction)
+    extra = np.flatnonzero(rng.random(n) < cfg.extra_stay_fraction)
     later = sim.intime[extra] + rng.uniform(35, 60, len(extra)) * DAY
     minor_in = BASE_TIME + rng.uniform(0, 300, n_minor) * DAY
     starts = np.concatenate([later, minor_in])
@@ -518,7 +518,7 @@ def _write_notes(sim, rng, out_dir):
             note_rows.append(i)
             note_times.append(round(t))
             texts.append(_render_note(rng, sim.text_latent[i], filler))
-            if kind == "radiology" and rng.uniform() < 0.4:
+            if kind == "radiology" and rng.random() < 0.4:
                 # later duplicate report; selection must keep the earliest
                 note_rows.append(i)
                 note_times.append(round(t + rng.uniform(2, 30) * HOUR))

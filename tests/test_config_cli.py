@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -23,6 +24,14 @@ def write_cfg(tmp_path, text):
     p = tmp_path / "run.cfg"
     p.write_text(text)
     return p
+
+
+def run_cli(argv):
+    """Exit code of ``main(argv)`` and the split.seed warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, [str(w.message) for w in caught if "split.seed" in str(w.message)]
 
 
 class TestValidateConfig:
@@ -171,6 +180,37 @@ class TestCli:
         assert main(["synth", "--config", str(cfg), "--out", str(target)]) == 0
         assert (target / "ground_truth.csv").exists()
         assert (target / "chartevents.csv").exists()
+
+    def test_synth_overrides_are_not_reported_as_defaults(self, tmp_path, capsys):
+        # no paths and no split.seed in the file: --out and --seed supply them
+        cfg = write_cfg(tmp_path, "[synth]\nn_patients = 120\nemb_dim = 8\n")
+        target = tmp_path / "gen"
+        assert run_cli(["synth", "--config", str(cfg), "--out", str(target),
+                        "--seed", "7", "--echo-config"]) == (0, [])
+        echoed = capsys.readouterr().out
+        assert f"data_dir = {target}\n" in echoed
+        assert "seed = 7\n" in echoed
+        assert "out_dir = out  ; default\n" in echoed
+        with open(target / "ground_truth.csv", newline="") as fh:
+            seeds = [r["value"] for r in csv.DictReader(fh) if r["name"] == "seed"]
+        assert [float(s) for s in seeds] == [stage_seed(7, "synth")]
+
+    def test_stage_overrides_are_not_reported_as_defaults(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, (
+            f"[paths]\ndata_dir = {tmp_path}/data\n"
+            "[synth]\nn_patients = 120\nemb_dim = 8\n"))
+        assert run_cli(["synth", "--config", str(cfg), "--echo-config"]) == \
+            (0, ["split.seed not set; using default 42"])
+        echoed = capsys.readouterr().out
+        assert "seed = 42  ; default\n" in echoed
+        assert "out_dir = out  ; default\n" in echoed
+        alt = tmp_path / "alt"
+        assert run_cli(["cohort", "--config", str(cfg), "--seed", "7",
+                        "--out", str(alt), "--echo-config"]) == (0, [])
+        echoed = capsys.readouterr().out
+        assert "seed = 7\n" in echoed
+        assert f"out_dir = {alt}\n" in echoed
+        assert (alt / "cohort.csv").exists()
 
 
 class TestStageByStage:

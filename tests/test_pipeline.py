@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import os
+import pathlib
 import shutil
 
 import numpy as np
@@ -171,9 +172,8 @@ class TestArtifacts:
                             ("model_summary.csv",
                              "model_summary_multimodal_combined.csv"),
                             ("vif_report.csv", "vif_multimodal_combined.csv")):
-            a = open(os.path.join(small_run.out_dir, canon), "rb").read()
-            b = open(os.path.join(small_run.out_dir, full), "rb").read()
-            assert a == b
+            out = pathlib.Path(small_run.out_dir)
+            assert (out / canon).read_bytes() == (out / full).read_bytes()
 
     def test_lasso_selected_reports_all_three_lambdas(self, small_run):
         rows = read_rows(os.path.join(small_run.out_dir, "lasso_selected.csv"))
@@ -199,12 +199,13 @@ class TestArtifacts:
     def test_svg_outputs_are_svg(self, small_run):
         for name in ("roc.svg", "dca.svg", "calibration.svg",
                      "cv_curve_structured.svg"):
-            text = open(os.path.join(small_run.out_dir, name)).read()
+            text = pathlib.Path(small_run.out_dir, name).read_text(encoding="utf-8")
             assert text.startswith("<svg ")
             assert text.rstrip().endswith("</svg>")
 
     def test_cv_curve_svg_marks_selected_lambdas(self, small_run):
-        text = open(os.path.join(small_run.out_dir, "cv_curve_structured.svg")).read()
+        text = pathlib.Path(small_run.out_dir, "cv_curve_structured.svg").read_text(
+            encoding="utf-8")
         assert "lambda_min" in text and "lambda_1SE" in text
         assert "stroke-dasharray" in text
 

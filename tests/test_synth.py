@@ -407,3 +407,18 @@ class TestColumnEmission:
             want = reference_render_note(want_rng, latent, filler)
             assert got == want
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("leading_integer", [False, True])
+    def test_random_draws_the_doubles_uniform_draws(self, leading_integer):
+        # synth draws on [0, 1) with random; the references above use uniform
+        for seed in range(20):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            if leading_integer:
+                got_rng.integers(7), want_rng.integers(7)
+            for k in (None, 0, 1, 7, None):
+                if k is None:
+                    got, want = np.float64(got_rng.random()), np.float64(want_rng.uniform())
+                else:
+                    got, want = got_rng.random(k), want_rng.uniform(size=k)
+                assert got.tobytes() == want.tobytes()
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
