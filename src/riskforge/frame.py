@@ -21,6 +21,16 @@ HH:MM:SS`` parses through ``datetime64[s]``; any other goes cell by cell
 through ``strptime``, since off that form the two disagree (numpy takes a
 bare date, a ``T`` or a leading space, strptime unpadded fields).
 
+A read through a Window (a key column, a time column, and per key a
+[start, end) of seconds) skips, before any parsing, the lines a numpy
+scan of the raw bytes proves to fall outside their key's window: the key
+cell is byte-equal to the key's ``str(int(k))`` and the time cell is
+canonical ``YYYY-MM-DD HH:MM:SS`` sorting outside the formatted bounds.
+Such a cell parses to the time it sorts as or to NaN, so the window
+applied to the parsed frame would drop the line too; every other line,
+and the rest of a file from the first chunk whose fields a comma split
+might misplace (a quote, a NUL, a lone CR), is parsed as without one.
+
 Writing formats each column once per block of rows: a ``num`` column in
 one ``repr`` of its list, whose cells round-trip every float. The writer
 follows csv.writer's minimal quoting. A cell is quoted when it holds a
@@ -41,12 +51,14 @@ sort of (key, variable) cell codes.
 
 import csv
 import gc
+import io
 import itertools
 import re
 from collections import namedtuple
 from datetime import datetime, timedelta
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DuplicateCohortRow, IoFailure, MissingColumn
 
@@ -64,6 +76,32 @@ _TIME_CELL = re.compile(
     r"(?:(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2})?")
 # a character that makes csv.writer quote a cell
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+# bytes per chunk of a windowed read's scan. Numpy passes over a whole
+# event table would hold several arrays of its size at once; 64 KiB keeps
+# every buffer of a chunk under malloc's default 128 KiB mmap threshold.
+# Measured on the 2-vCPU host: 1 MiB chunks scanned a 17.7 MB table in
+# 99-144 ms and 64 KiB ones in 93-121 ms, but 256 KiB and larger ones left
+# heap behind that later stages' peaks added to (perfbench wide_notes
+# peak_rss_mb +2.4%, against +0.5% with 64 KiB)
+_SCAN_BYTES = 1 << 16
+# a canonical 'YYYY-MM-DD HH:MM:SS' cell byte by byte: its lowest bytes, how
+# far each may rise (9 for a digit, 0 for a separator), and each digit's
+# place value in one YYYYMMDDhhmmss number
+_STAMP_LOW = np.frombuffer(b"0000-00-00 00:00:00", np.uint8)
+_STAMP_SPAN = np.frombuffer(b"9999-99-99 99:99:99", np.uint8) - _STAMP_LOW
+_STAMP_WEIGHTS = np.zeros(19)
+_STAMP_WEIGHTS[_STAMP_SPAN > 0] = 10.0 ** np.arange(13, -1, -1)
+_STAMP_ZERO = 48 * _STAMP_WEIGHTS.sum()
+# the low k bytes of a little-endian word, k = 0..8
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# seconds at 0000-01-01 and 10000-01-01: the years a four-digit cell holds
+_STAMP_MIN, _STAMP_END = (np.datetime64(d, "s").astype(np.int64).item()
+                          for d in ("0000-01-01", "10000-01-01"))
+
+# Lines of an event table that read_csv may skip: those whose ``key`` cell
+# names one of ``keys`` and whose ``time`` cell falls outside that key's
+# [start, end) seconds
+Window = namedtuple("Window", "key time keys start end")
 
 
 def parse_time(text):
@@ -256,16 +294,148 @@ def _block_rows(n_cols):
     return max(_BLOCK_MIN_ROWS, _BLOCK_CELLS // max(1, n_cols))
 
 
-def read_csv(path, schema):
+def _stamps(cells):
+    """Rows of 19 cell bytes -> YYYYMMDDhhmmss as a float (exact: each
+    partial sum is an integer below 2**53), which orders canonical cells
+    as their bytes sort; -1 where a row is off the canonical ``YYYY-MM-DD
+    HH:MM:SS`` form."""
+    ok = ((cells - _STAMP_LOW) <= _STAMP_SPAN).all(axis=1)  # a byte below wraps
+    return np.where(ok, cells @ _STAMP_WEIGHTS - _STAMP_ZERO, -1.0)
+
+
+def _key_words(padded, start, size):
+    """The bytes of each key cell (``start``, ``size``) in ``padded``, its
+    first 8 zero-padded, as one little-endian word: cells of at most 8
+    bytes, none of them a NUL, have equal words where their bytes are equal."""
+    cells = sliding_window_view(padded, 8)[start].view("<u8")[:, 0]
+    return cells & _BYTE_MASKS[np.minimum(size, 8)]
+
+
+def _window_stays(window):
+    """The stays a line can be ruled out against: (their key cells as
+    ``_key_words``, ascending, and their window bounds as ``_stamps``).
+    Only a key that is a whole number in [0, 1e8) with whole-second bounds
+    in years 0000-9999 takes part, so each key's cell, ``str(int(k))``,
+    fits one word and each bound formats to a canonical cell."""
+    keys, start, end = (np.asarray(v, dtype=float)
+                        for v in (window.keys, window.start, window.end))
+    ok = ((keys >= 0) & (keys < 1e8) & (np.trunc(keys) == keys)
+          & (start >= _STAMP_MIN) & (end < _STAMP_END)
+          & (np.trunc(start) == start) & (np.trunc(end) == end))
+    words = keys[ok].astype(np.int64).astype("S8").view("<u8")
+    order = np.argsort(words, kind="stable")
+    text = _format_times(np.concatenate([start[ok][order], end[ok][order]]))
+    bounds = _stamps(np.frombuffer(text.astype("S19").tobytes(), np.uint8).reshape(-1, 19))
+    return words[order], bounds[:words.size], bounds[words.size:]
+
+
+def _in_window(chunk, fields, stays):
+    """Per line of ``chunk`` (bytes ending in a newline): False where its
+    key cell is that of a stay in ``stays`` and its time cell, canonical,
+    sorts outside that stay's bounds; with each line's first byte and the
+    byte after its newline. None where a quote, a NUL or a CR not followed
+    by LF could make a CSV row or field end elsewhere than at a newline or
+    a comma.
+
+    Every comma and newline is a delimiter; field j of a line runs from
+    the delimiter j places after the line's own first one (the newline
+    before it) to the next, so fields need no per-line loop.
+    """
+    if b'"' in chunk or b"\0" in chunk:
+        return None
+    keys, lower, upper = stays
+    # zero bytes past the end, so that a cell's first 19 bytes can always be read
+    padded = np.frombuffer(chunk + bytes(19), np.uint8)
+    arr = padded[:len(chunk)]
+    delim = np.concatenate(([-1], np.flatnonzero((arr == 44) | (arr == 10))))
+    last = np.flatnonzero(arr[delim[1:]] == 10) + 1  # each line's newline in delim
+    if np.count_nonzero(arr == 13) != np.count_nonzero(arr[delim[last] - 1] == 13):
+        return None
+    first = np.concatenate(([0], last[:-1]))
+    keep = np.ones(last.size, dtype=bool)
+    # a short line (too few fields) is never ruled out
+    rows = np.flatnonzero(first + max(fields) < last)
+
+    def cell(rows, j):
+        """Start and size of field j of each line in ``rows``; a CR before
+        the newline is not part of the last field."""
+        start = delim[first[rows] + j] + 1
+        end = delim[first[rows] + j + 1]
+        return start, end - (arr[end - 1] == 13) - start
+
+    start, size = cell(rows, fields[0])
+    words = _key_words(padded, start, size)
+    stay = np.minimum(np.searchsorted(keys, words), keys.size - 1)
+    ok = (size <= 8) & (keys[stay] == words)
+    rows, stay = rows[ok], stay[ok]
+    start, size = cell(rows, fields[1])
+    whole = size == 19
+    rows, stay = rows[whole], stay[whole]
+    stamp = _stamps(sliding_window_view(padded, 19)[start[whole]])
+    keep[rows[(stamp >= 0) & ((stamp < lower[stay]) | (stamp >= upper[stay]))]] = False
+    return keep, delim[first] + 1, delim[last] + 1
+
+
+def _window_bytes(fh, header, window):
+    """The bytes of the CSV open as binary ``fh``, in pieces of whole lines,
+    less lines ``window`` rules out (``read_csv`` says which).
+
+    The bytes are scanned in chunks of about ``_SCAN_BYTES`` cut after a
+    newline. Every chunk that is not ASCII is decoded whole, so a UTF-8
+    error anywhere raises. From the first chunk ``_in_window`` cannot
+    split into fields, the header's included, the rest passes unfiltered;
+    so does a last line with no newline. The header line is always kept.
+    """
+    stays = _window_stays(window)
+    fields = (header.index(window.key), header.index(window.time))
+    scan, top, tail = stays[0].size > 0, True, b""
+    while True:
+        more = fh.read(_SCAN_BYTES)
+        buf = tail + more
+        cut = buf.rfind(b"\n") + 1 if more else len(buf)
+        chunk, tail = buf[:cut], buf[cut:]
+        if not chunk.isascii():
+            chunk.decode("utf-8")
+        if scan and chunk.endswith(b"\n"):
+            # the cells are compared as bytes, never cast: numpy 2.4 crashes
+            # casting a bytes (S) array of 1000+ cells with an invalid date
+            # to datetime64, where a list of str raises ValueError
+            found = _in_window(chunk, fields, stays)
+            scan = found is not None
+            if scan:
+                keep, begin, stop = found
+                keep[0] |= top  # the header line
+                if not keep.all():
+                    # one slice per run of kept lines
+                    edge = np.flatnonzero(np.diff(np.concatenate(([0], keep, [0]))))
+                    chunk = b"".join([chunk[s:e] for s, e in zip(
+                        begin[edge[0::2]].tolist(), stop[edge[1::2] - 1].tolist())])
+        if chunk:
+            top = False
+            yield chunk
+        if not more:
+            return
+
+
+def read_csv(path, schema, window=None):
     """Read a CSV into a PatientFrame.
 
     ``schema`` is [(name, kind), ...]; file columns not in the schema are
     ignored, schema columns absent from the header raise MissingColumn.
     Blank cells are missing; short rows read as blank cells. Row order is
     preserved. The module docstring gives the cell rules.
+
+    With a ``window`` (a Window), a byte scan skips lines that provably
+    fall outside their stay's window: the line's ``window.key`` cell is
+    byte-equal to ``str(int(k))`` of a stay key k in [0, 1e8) whose bounds
+    are whole seconds, and its ``window.time`` cell is 19 bytes of canonical ``YYYY-MM-DD
+    HH:MM:SS`` that sort below that stay's ``start`` or at or above its
+    ``end``, formatted as the writer formats times. Such a cell parses to
+    the time it sorts as, or to NaN, so the same rule applied to the parsed
+    frame drops the line too. Every other line is read as without a window.
     """
     header = read_header(path)
-    for name, _ in schema:
+    for name in [n for n, _ in schema] + ([] if window is None else [window.key, window.time]):
         if name not in header:
             raise MissingColumn(name)
     positions = [header.index(name) for name, _ in schema]
@@ -277,8 +447,12 @@ def read_csv(path, schema):
     collecting = gc.isenabled()
     gc.disable()
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
+        with (open(path, "r", encoding="utf-8", newline="") if window is None
+              else open(path, "rb")) as fh:
+            # each piece is decoded and split into lines as the file would be
+            reader = csv.reader(fh if window is None else itertools.chain.from_iterable(
+                io.TextIOWrapper(io.BytesIO(piece), encoding="utf-8", newline="")
+                for piece in _window_bytes(fh, header, window)))
             next(reader)  # the header
             while True:
                 rows = list(itertools.islice(reader, block_rows))

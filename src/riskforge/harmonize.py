@@ -7,6 +7,11 @@ per-key mean/min/max of the long-format (variable, value) events through
 ``frame.aggregate_by_key``, GCS totals, and binary comorbidity/treatment
 flags. Each itemid becomes its name's position in ``CHART_NAMES`` or
 ``LAB_NAMES``: pooling, masking and aggregation work on that integer code.
+
+The window is stated once, in ``stay_window``: each stay's [intime,
+intime + WINDOW_SECONDS). ``window_24h`` applies it exactly to parsed
+events, and the features stage passes it to ``read_csv`` so that the
+event reads skip the lines that provably fall outside it.
 """
 
 from collections import Counter
@@ -15,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComponentOutOfRange
-from .frame import (PatientFrame, aggregate_by_key, index_of, join, require_unique,
-                    segment_means)
+from .frame import (PatientFrame, Window, aggregate_by_key, index_of, join,
+                    require_unique, segment_means)
 
 WINDOW_SECONDS = 24 * 3600.0
 
@@ -136,21 +141,32 @@ def mean_bp(sbp, dbp):
     return (np.asarray(sbp, dtype=float) + 2.0 * np.asarray(dbp, dtype=float)) / 3.0
 
 
+def stay_window(stays, key, time="charttime"):
+    """Each stay's window, [intime, intime + WINDOW_SECONDS), as the Window
+    ``read_csv`` skips lines by: an event's ``key`` names its stay and its
+    ``time`` must fall in the window."""
+    intime = stays.values("intime")
+    return Window(key, time, stays.values(key), intime, intime + WINDOW_SECONDS)
+
+
 def window_24h(events, stays, *, key="stay_id"):
-    """Keep events with intime <= charttime < intime + 24h.
+    """Keep events whose charttime falls in their stay's ``stay_window``.
 
     Each event looks its ``key`` up in ``stays``, whose keys must be unique
     (DuplicateCohortRow). Events whose key names no stay, or a stay without
     an intime, are unlinked: dropped and counted. Returns (kept rows of
-    ``events`` in their order, unlinked count).
+    ``events`` in their order, unlinked count). This is the exact rule: a
+    read through the same window only skips lines it would drop as linked.
     """
     require_unique(stays, [key])
-    # -1 (no stay) picks the NaN appended to the intimes
-    row = index_of(stays.values(key), events.values(key))
-    intime = np.append(stays.values("intime"), np.nan)[row]
+    window = stay_window(stays, key)
+    # -1 (no stay) picks the NaN appended to the bounds
+    row = index_of(window.keys, events.values(key))
+    start = np.append(window.start, np.nan)[row]
+    end = np.append(window.end, np.nan)[row]
     ct = events.values("charttime")
-    unlinked = int(np.isnan(intime).sum())
-    return events.filter((ct >= intime) & (ct < intime + WINDOW_SECONDS)), unlinked
+    unlinked = int(np.isnan(start).sum())
+    return events.filter((ct >= start) & (ct < end)), unlinked
 
 
 def gcs_total(eye, verbal, motor):

@@ -35,7 +35,7 @@ from .errors import DuplicateCohortRow, MissingArtifact, SingularHessian, TooFew
 from .frame import (CellCache, PatientFrame, join, read_csv, read_header,
                     write_csv)
 from .harmonize import (DEFAULT_PLAUSIBILITY, FLAG_NAMES, PlausibilityRule,
-                        build_structured_features, fahrenheit_to_celsius)
+                        build_structured_features, fahrenheit_to_celsius, stay_window)
 from .impute import MiceConfig, default_policies, impute_single, mice_impute, missingness_report
 from .scoring import (NEWS2_RANGES, calibration, decision_curve, default_dca_grid,
                       news2_scores, roc, threshold_metrics)
@@ -162,9 +162,9 @@ PREDICTIONS_SCHEMA = [("hadm_id", "int"), ("split", "str"), ("y", "int"), ("prob
 METRICS = ("auc", "accuracy", "f1_pos", "recall_pos")
 
 
-def _read_input(cfg, name, stage):
+def _read_input(cfg, name, stage, window=None):
     path = _need(os.path.join(cfg.data_dir, f"{name}.csv"), stage)
-    return read_csv(path, SCHEMAS[name])
+    return read_csv(path, SCHEMAS[name], window)
 
 
 # --- stages ---
@@ -204,11 +204,16 @@ def effective_plausibility(cfg):
 
 def run_features(cfg):
     cohort = _load(cfg, "cohort.csv", "features", COHORT_SCHEMA)
-    chart = _read_input(cfg, "chartevents", "features")
-    labs = _read_input(cfg, "labevents", "features")
+    # each event read skips lines that fall outside their stay's window;
+    # window_24h applies the exact rule afterwards
+    chart = _read_input(cfg, "chartevents", "features", stay_window(cohort, "stay_id"))
+    labs = _read_input(cfg, "labevents", "features", stay_window(cohort, "hadm_id"))
     diagnoses = _read_input(cfg, "diagnoses_icd", "features")
-    procs = _read_input(cfg, "procedureevents", "features").rename({"starttime": "charttime"})
-    inputs = _read_input(cfg, "inputevents", "features").rename({"starttime": "charttime"})
+    started = stay_window(cohort, "stay_id", "starttime")
+    procs = _read_input(cfg, "procedureevents", "features", started) \
+        .rename({"starttime": "charttime"})
+    inputs = _read_input(cfg, "inputevents", "features", started) \
+        .rename({"starttime": "charttime"})
 
     rules = effective_plausibility(cfg)
     features, report = build_structured_features(

@@ -13,6 +13,7 @@ from riskforge import frame as frame_mod
 from riskforge.frame import (KINDS, CellCache, PatientFrame, _block_rows,
                              _format_column, aggregate_by_key, join, parse_time,
                              format_time, read_csv, segment_means, write_csv)
+from riskforge.harmonize import stay_window, window_24h
 
 
 def nan_where(missing, values):
@@ -842,3 +843,226 @@ class TestAggregateOracle:
         assert out.values("stay_id").tolist() == [1.0, 2.0, 3.0]
         assert out.values("v_mean").tolist()[:2] == [2.0, 2.0]
         assert out.mask("v_mean").tolist() == [False, False, True]
+
+
+# --- reads through a 24 h window ---
+
+DAY = 86400.0
+T0 = parse_time("2150-01-01 00:00:00")
+# keys and intimes: a NaN intime, a fractional one and a nine-digit key
+# (none of which takes part in the scan), a one-digit key and a zero key
+WINDOW_STAYS = PatientFrame.from_columns([
+    ("stay_id", "int", [30000000, 30000001, 7, 0, 30000002, 123456789, 30000003]),
+    ("intime", "time", [T0, T0 + 1.5 * DAY, T0 + 3 * DAY, T0 - DAY, np.nan, T0, T0 + 0.5]),
+])
+# stays every one of whose lines the scan can rule on
+PLAIN_STAYS = WINDOW_STAYS.take([0, 1, 2, 3, 4])
+EVENT_SCHEMA = [("stay_id", "int"), ("charttime", "time"), ("valuenum", "num")]
+ODD_KEYS = ["030000000", " 30000000", "3e7", "30000000.0", "+30000000", "30000000 ",
+            "", "99999999", "00"]
+ODD_TIMES = ["2150-01-05  00:00:00", "2150-01-05  1:00:00", "2150-01-05T00:00:00",
+             "0000-01-05 00:00:00", "2150-13-05 00:00:00", "2150-01-05 24:00:00",
+             "2150-02-30 00:00:00", " 2150-01-05 00:00:0", "2150-01-05 00:00:00 ",
+             "2150-01-05", ""]
+# raw lines: first four on which csv splits rows or fields elsewhere than a
+# comma split would (quotes, a lone CR, a NUL), then blank, short and long rows
+ODD_LINES = ['30000000,"2150-01-05 00:00:00",1.0', '"30000000",2150-01-05 00:00:00,1.0',
+             "30000000,2150-01-05 00:00:00,1.0\r30000000,2150-01-05 00:00:00,2.0",
+             "30000000,2150-01-05 00:00:00,1\x00.0", "", "30000000", "30000000,",
+             "30000000,2150-01-05 00:00:00,1.0,extra"]
+
+
+def windowed_read(path, stays, schema=EVENT_SCHEMA):
+    return read_csv(path, schema, stay_window(stays, "stay_id"))
+
+
+def window_cells(rng, stays, n):
+    """``n`` canonical (key, time) cells: keys of ``stays`` or of no stay,
+    times at and around each stay's window edges or anywhere near them."""
+    keys = stays.values("stay_id").astype(int).tolist() + [99999999]
+    intimes = stays.values("intime").tolist() + [T0]
+    cells = []
+    for _ in range(n):
+        k = int(rng.integers(len(keys)))
+        base = T0 if np.isnan(intimes[k]) else intimes[k]
+        offset = [-1.0, 0.0, DAY - 1, DAY, float(rng.integers(-2 * DAY, 3 * DAY))][
+            int(rng.integers(5))]
+        cells.append((str(keys[k]), format_time(np.floor(base) + offset)))
+    return cells
+
+
+def write_events(path, cells, order=("stay_id", "charttime", "valuenum"), newline="\n",
+                 odd_lines=(), end=True):
+    """An event file of (key, time) cells with a value each; ``odd_lines``
+    (position, raw line) are put in as they stand."""
+    lines = [",".join(order)]
+    for i, (key, time) in enumerate(cells):
+        row = {"stay_id": key, "charttime": time, "valuenum": repr(i + 0.5)}
+        lines.append(",".join(row[name] for name in order))
+    for pos, line in sorted(odd_lines, reverse=True):
+        lines.insert(1 + pos, line)
+    path.write_bytes((newline.join(lines) + (newline if end else "")).encode("utf-8"))
+
+
+def assert_bitwise_equal(a, b):
+    assert a.names == b.names and a.n_rows == b.n_rows
+    for name in a.names:
+        assert a.values(name).tobytes() == b.values(name).tobytes(), name
+
+
+def assert_window_agrees(path, stays=WINDOW_STAYS):
+    """Read-then-window and the windowed read then the window agree bitwise,
+    unlinked counts included, or both raise the same error."""
+    try:
+        plain = read_csv(path, EVENT_SCHEMA)
+    except (csv.Error, ValueError) as exc:  # a NUL (before Python 3.11), bad UTF-8
+        with pytest.raises(type(exc)):
+            windowed_read(path, stays)
+        return None
+    windowed = windowed_read(path, stays)
+    (want, want_unlinked), (got, got_unlinked) = (window_24h(plain, stays),
+                                                   window_24h(windowed, stays))
+    assert_bitwise_equal(got, want)
+    assert got_unlinked == want_unlinked
+    return plain, windowed
+
+
+class TestWindowedRead:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_random_files_agree_with_read_then_window(self, tmp_path_factory, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        cells = window_cells(rng, WINDOW_STAYS, data.draw(st.integers(0, 40)))
+        for i in range(len(cells)):
+            if rng.random() < 0.15:
+                cells[i] = (ODD_KEYS[int(rng.integers(len(ODD_KEYS)))], cells[i][1])
+            if rng.random() < 0.15:
+                cells[i] = (cells[i][0], ODD_TIMES[int(rng.integers(len(ODD_TIMES)))])
+        odd = data.draw(st.lists(st.tuples(st.integers(0, len(cells)),
+                                           st.sampled_from(ODD_LINES)), max_size=2))
+        order = data.draw(st.sampled_from([("stay_id", "charttime", "valuenum"),
+                                           ("valuenum", "charttime", "stay_id")]))
+        path = tmp_path_factory.mktemp("window") / "ev.csv"
+        write_events(path, cells, order, data.draw(st.sampled_from(["\n", "\r\n"])),
+                     odd, end=data.draw(st.booleans()))
+        with mock.patch.object(frame_mod, "_SCAN_BYTES", data.draw(st.sampled_from(
+                [1, 40, 97, 1 << 20]))):
+            assert_window_agrees(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), scan=st.sampled_from([40, 97, 1 << 20]),
+           newline=st.sampled_from(["\n", "\r\n"]),
+           order=st.permutations(["stay_id", "charttime", "valuenum"]))
+    def test_canonical_files_keep_exactly_in_window_and_unlinked_rows(
+            self, tmp_path_factory, seed, scan, newline, order):
+        cells = window_cells(np.random.default_rng(seed), PLAIN_STAYS, 60)
+        path = tmp_path_factory.mktemp("window") / "ev.csv"
+        write_events(path, cells, order, newline)
+        with mock.patch.object(frame_mod, "_SCAN_BYTES", scan):
+            plain, windowed = assert_window_agrees(path, PLAIN_STAYS)
+        row = frame_mod.index_of(PLAIN_STAYS.values("stay_id"), plain.values("stay_id"))
+        intime = np.append(PLAIN_STAYS.values("intime"), np.nan)[row]
+        t = plain.values("charttime")
+        wanted = np.isnan(intime) | ((t >= intime) & (t < intime + DAY))
+        assert_bitwise_equal(windowed, plain.filter(wanted))
+
+    def test_window_edges(self, tmp_path):
+        edges = ["2149-12-31 23:59:59", "2150-01-01 00:00:00", "2150-01-01 23:59:59",
+                 "2150-01-02 00:00:00"]
+        write_events(tmp_path / "ev.csv", [("30000000", t) for t in edges])
+        got = windowed_read(tmp_path / "ev.csv", WINDOW_STAYS)
+        assert [format_time(t) for t in got.values("charttime")] == edges[1:3]
+
+    def test_odd_keys_and_times_are_left_to_the_window(self, tmp_path):
+        # every cell here is out of its window if read loosely; only the
+        # canonical times, which all parse to NaN, may be skipped
+        cells = [(k, "2150-01-05 00:00:00") for k in ODD_KEYS]
+        cells += [("30000000", t) for t in ODD_TIMES]
+        write_events(tmp_path / "ev.csv", cells)
+        plain, windowed = assert_window_agrees(tmp_path / "ev.csv")
+        skipped = set(plain.values("valuenum")) - set(windowed.values("valuenum"))
+        assert sorted(cells[int(v)][1] for v in skipped) == [
+            "0000-01-05 00:00:00", "2150-01-05 24:00:00", "2150-02-30 00:00:00",
+            "2150-13-05 00:00:00"]
+
+    def test_stays_outside_the_scan_keep_their_lines(self, tmp_path):
+        # a NaN intime, a nine-digit key, and a fractional intime whose window
+        # ends half a second after the whole second its bound formats to
+        cells = [("30000002", "2150-01-09 00:00:00"), ("123456789", "2150-01-09 00:00:00"),
+                 ("30000003", "2150-01-02 00:00:00")]
+        write_events(tmp_path / "ev.csv", cells)
+        plain, windowed = assert_window_agrees(tmp_path / "ev.csv")
+        assert windowed.n_rows == plain.n_rows == 3
+        assert window_24h(windowed, WINDOW_STAYS)[0].values("valuenum").tolist() == [2.5]
+
+    def test_a_fractional_end_takes_no_part(self, tmp_path):
+        # the end formats to the whole second before it, still in the window
+        write_events(tmp_path / "ev.csv", [("30000000", "2150-01-01 23:59:59")])
+        window = frame_mod.Window("stay_id", "charttime", [30000000.0], [T0], [T0 + DAY - 0.5])
+        assert read_csv(tmp_path / "ev.csv", EVENT_SCHEMA, window).n_rows == 1
+
+    def test_header_line_is_always_read(self, tmp_path):
+        # a header whose key and time names would be ruled out as a data line
+        (tmp_path / "ev.csv").write_text("7,2150-01-09 00:00:00\n7,2150-01-09 00:00:00\n")
+        schema = [("7", "int"), ("2150-01-09 00:00:00", "str")]
+        window = frame_mod.Window("7", "2150-01-09 00:00:00", [7.0], [T0], [T0 + DAY])
+        got = read_csv(tmp_path / "ev.csv", schema, window)
+        assert got.n_rows == 0 and got.names == ["7", "2150-01-09 00:00:00"]
+
+    @pytest.mark.parametrize("odd", ODD_LINES[:4])
+    def test_rest_of_the_file_passes_from_a_chunk_that_cannot_be_split(self, tmp_path, odd):
+        # one line per chunk: the lines before the odd one are skipped, the
+        # odd one and every line after it are read
+        cells = [("30000000", "2150-01-05 00:00:00")] * 6
+        write_events(tmp_path / "ev.csv", cells, odd_lines=[(3, odd)])
+        size = len("30000000,2150-01-05 00:00:00,0.5\n")
+        with mock.patch.object(frame_mod, "_SCAN_BYTES", size):
+            plain, windowed = assert_window_agrees(tmp_path / "ev.csv")
+        assert windowed.n_rows == plain.n_rows - 3
+
+    def test_header_with_a_quote_passes_the_file(self, tmp_path):
+        cells = [("30000000", "2150-01-05 00:00:00")] * 3
+        write_events(tmp_path / "ev.csv", cells)
+        text = (tmp_path / "ev.csv").read_text().replace("valuenum", '"valuenum"', 1)
+        (tmp_path / "ev.csv").write_text(text)
+        plain, windowed = assert_window_agrees(tmp_path / "ev.csv")
+        assert windowed.n_rows == plain.n_rows == 3
+
+    def test_line_across_chunks_and_no_trailing_newline(self, tmp_path):
+        cells = [("30000000", "2150-01-05 00:00:00"), ("30000000", "2150-01-01 05:00:00"),
+                 ("30000000", "2150-01-05 00:00:00")]
+        write_events(tmp_path / "ev.csv", cells, end=False)
+        with mock.patch.object(frame_mod, "_SCAN_BYTES", 7):
+            plain, windowed = assert_window_agrees(tmp_path / "ev.csv")
+        # the last line, with no newline, is read as it stands
+        assert windowed.values("valuenum").tolist() == [1.5, 2.5]
+
+    def test_invalid_utf8_in_a_skipped_line_raises(self, tmp_path):
+        # far enough from the header that reading the header decodes none of it
+        write_events(tmp_path / "ev.csv", [("30000000", "2150-01-05 00:00:00")] * 1000)
+        raw = (tmp_path / "ev.csv").read_bytes().replace(b",900.5", b",900.\xff5")
+        (tmp_path / "ev.csv").write_bytes(raw)
+        assert frame_mod.read_header(tmp_path / "ev.csv") == ["stay_id", "charttime", "valuenum"]
+        with pytest.raises(UnicodeDecodeError):
+            read_csv(tmp_path / "ev.csv", EVENT_SCHEMA)
+        for scan in (8, 1 << 20):
+            with mock.patch.object(frame_mod, "_SCAN_BYTES", scan), \
+                    pytest.raises(UnicodeDecodeError):
+                windowed_read(tmp_path / "ev.csv", WINDOW_STAYS)
+
+    def test_window_columns_must_be_in_the_header(self, tmp_path):
+        (tmp_path / "ev.csv").write_text("stay_id,time\n30000000,2150-01-05 00:00:00\n")
+        with pytest.raises(MissingColumn, match="charttime"):
+            windowed_read(tmp_path / "ev.csv", WINDOW_STAYS, [("stay_id", "int")])
+
+
+def test_invalid_date_in_a_long_time_block_reads_as_nan():
+    # the scan compares time bytes and never casts them: numpy 2.4 crashes
+    # casting a bytes array of 1000+ cells with an invalid date to
+    # datetime64, while the list of str _parse_column passes raises
+    cells = [format_time(T0 + 3600.0 * i) for i in range(2340)]
+    cells[1234] = "2150-13-45 99:99:99"
+    got = frame_mod._parse_column(cells, "time")
+    assert np.isnan(got[1234])
+    want = np.array(cells[:1234] + cells[1235:], dtype="datetime64[s]").astype(np.int64)
+    assert got[np.arange(2340) != 1234].tobytes() == want.astype(float).tobytes()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from riskforge.config import RunConfig
-from riskforge.frame import read_csv, read_header
+from riskforge.frame import format_time, parse_time, read_csv, read_header
 from riskforge.pipeline import STAGES, _features_schema, run_stage
 
 
@@ -49,6 +49,29 @@ class TestHarmonizationReport:
             csv.writer(fh).writerow([cells.get(name, "") for name in read_header(path)])
         run_stage("features", cfg)
         assert unlinked() == {**before, "procedureevents": before["procedureevents"] + 1}
+
+    def test_chart_rows_outside_the_window_change_no_byte(self, tmp_path):
+        # the features read skips them before parsing; the window would drop
+        # them after: either way the two artifacts keep every byte
+        cfg = RunConfig(data_dir=str(tmp_path / "data"), out_dir=str(tmp_path / "out"),
+                        synth_n=120, synth_emb_dim=8, seed=4)
+        for stage in ("synth", "cohort", "features"):
+            run_stage(stage, cfg)
+        names = ("structured_features.csv", "harmonization_report.csv")
+        before = [pathlib.Path(cfg.out_dir, name).read_bytes() for name in names]
+        path = os.path.join(cfg.data_dir, "chartevents.csv")
+        header = read_header(path)
+        with open(path, "a", newline="") as fh:
+            writer = csv.writer(fh)
+            for stay in read_rows(os.path.join(cfg.out_dir, "cohort.csv")):
+                intime = parse_time(stay["intime"])
+                for offset in [-1.0, 24 * 3600.0] + [3600.0 * h + 17 for h in range(24, 72)]:
+                    cells = {"subject_id": stay["subject_id"], "hadm_id": stay["hadm_id"],
+                             "stay_id": stay["stay_id"], "charttime": format_time(intime + offset),
+                             "itemid": "220045", "valuenum": "250.0"}
+                    writer.writerow([cells.get(name, "") for name in header])
+        run_stage("features", cfg)
+        assert [pathlib.Path(cfg.out_dir, name).read_bytes() for name in names] == before
 
 
 class TestArtifacts:

@@ -16,7 +16,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = r"""
-import json, sys
+import csv, json, sys
 root, data, out = sys.argv[1:4]
 sys.path[:0] = [root + "/src", root + "/perfbench"]
 from riskforge import pipeline
@@ -27,6 +27,20 @@ cfg = RunConfig(data_dir=data, out_dir=out, synth_n=120, synth_emb_dim=8,
                 synth_text_signal=1.5, vocab_size=40, train_fraction=0.6,
                 lasso_grid=4, lasso_folds=2, gbt_n_trees=4, mice_m=2, seed=31)
 pipeline.run_stage("synth", cfg)
+# the features read skips canonical rows outside the 24 h window, so two
+# rows that only window_24h drops keep window_rows_in above window_rows_kept:
+# one naming no stay, and one whose time is off the canonical form
+with open(data + "/icustays.csv", newline="") as fh:
+    stay = next(csv.DictReader(fh))
+path = data + "/chartevents.csv"
+with open(path, newline="") as fh:
+    header = next(csv.reader(fh))
+with open(path, "a", newline="") as fh:
+    for stay_id, charttime in (("999999999", stay["intime"]),
+                               (stay["stay_id"], stay["intime"].replace(" ", "T"))):
+        cells = {"stay_id": stay_id, "charttime": charttime, "itemid": "220045",
+                 "valuenum": "80.0"}
+        csv.writer(fh).writerow([cells.get(name, "") for name in header])
 tracer = tracing.Tracer()
 tracer.install()
 for stage in tracing.STAGES:
