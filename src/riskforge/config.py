@@ -13,6 +13,7 @@ import zlib
 from dataclasses import dataclass
 
 from .errors import ConfigInvalid
+from .harmonize import CHART_NAMES, LAB_NAMES
 from .impute import METHODS
 from .lasso import RULES
 
@@ -101,8 +102,13 @@ def _convert(raw, typ, path):
         raise ConfigInvalid(path, f"cannot parse {raw.strip()!r} as {typ.__name__}") from None
 
 
-# sections holding per-variable data tables rather than fixed keys
-_FREEFORM = ("plausibility", "impute")
+# sections holding per-variable data tables rather than fixed keys, with
+# the variables each may name: plausibility rules apply to charted and lab
+# events, imputation methods to every numeric feature
+_FREEFORM = {
+    "plausibility": CHART_NAMES + LAB_NAMES,
+    "impute": CHART_NAMES + LAB_NAMES + ("gcs_total", "anchor_age"),
+}
 
 
 def _parse_plausibility(parser):
@@ -142,7 +148,7 @@ def validate_config(path, overrides=None):
     """Parse and validate; unknown keys are errors, missing ones default.
     ``overrides`` (field -> command-line value) win and are never defaulted."""
     overrides = overrides or {}
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
@@ -153,9 +159,8 @@ def validate_config(path, overrides=None):
     known = {}
     for (section, key), (attr, typ, check) in _SCHEMA.items():
         known.setdefault(section, set()).add(key)
+    known.update(_FREEFORM)
     for section in parser.sections():
-        if section in _FREEFORM:
-            continue
         if section not in known:
             raise ConfigInvalid(section, "unknown section")
         for key in parser[section]:
@@ -183,7 +188,8 @@ def validate_config(path, overrides=None):
 
 
 def echo_config(cfg):
-    """Normalized config text; defaulted entries are marked."""
+    """Normalized config text, the per-variable tables included, that
+    validate_config reads back as ``cfg``; defaulted entries are marked."""
     out = io.StringIO()
     last_section = None
     for (section, key), (attr, typ, _) in _SCHEMA.items():
@@ -197,4 +203,10 @@ def echo_config(cfg):
             v = ", ".join(v)
         suffix = "  ; default" if f"{section}.{key}" in cfg.defaulted else ""
         out.write(f"{key} = {v}{suffix}\n")
+    for section, rows in (("plausibility", [(var, f"{lo!r}, {hi!r}")
+                                            for var, lo, hi in cfg.plausibility_overrides]),
+                          ("impute", cfg.impute_overrides)):
+        if rows:
+            out.write(f"\n[{section}]\n")
+            out.writelines(f"{var} = {v}\n" for var, v in rows)
     return out.getvalue()

@@ -38,8 +38,10 @@ comma, a double quote, a carriage return or a line feed, which only a
 text cell can, and a one-column row whose cell is blank is written as
 ``""``. A block with such a cell goes through csv.writer; every other
 block is joined with "," and "\\r\\n", which writes the same bytes. A
-CellCache passed to successive writes formats a column they share once
-and returns each table as read_csv would read it back.
+memo dict passed to successive writes formats a column array they share
+once per block. ``read_back`` computes, from the values alone, the frame
+read_csv reads from what write_csv writes, so a process need not parse
+the CSV it has just written.
 
 A join is a lookup: each left row takes the one right row whose numeric
 keys all equal its own, found through ``index_of``, and a repeated right
@@ -97,6 +99,8 @@ _BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 # seconds at 0000-01-01 and 10000-01-01: the years a four-digit cell holds
 _STAMP_MIN, _STAMP_END = (np.datetime64(d, "s").astype(np.int64).item()
                           for d in ("0000-01-01", "10000-01-01"))
+# seconds at 0001-01-01: a cell of year 0000 parses to NaN
+_TIME_FIRST = np.datetime64("0001-01-01", "s").astype(np.int64).item()
 
 # Lines of an event table that read_csv may skip: those whose ``key`` cell
 # names one of ``keys`` and whose ``time`` cell falls outside that key's
@@ -471,14 +475,18 @@ def read_csv(path, schema, window=None):
     return PatientFrame([n for n, _ in schema], [k for _, k in schema], columns)
 
 
-def _format_times(seconds):
-    """Cells as ``format_time`` writes them: timedelta rounds to the
+def _whole_seconds(seconds):
+    """Seconds as ``format_time`` writes them: timedelta rounds to the
     microsecond, half to even, and strftime drops the fraction."""
+    whole = np.trunc(seconds)
+    return whole + np.floor(np.rint((seconds - whole) * 1e6) / 1e6)
+
+
+def _format_times(seconds):
+    """Cells as ``format_time`` writes them."""
     if seconds.size == 0:
         return np.zeros(0, dtype=object)
-    whole = np.trunc(seconds)
-    micros = np.rint((seconds - whole) * 1e6)
-    stamps = (whole + np.floor(micros / 1e6)).astype(np.int64).astype("datetime64[s]")
+    stamps = _whole_seconds(seconds).astype(np.int64).astype("datetime64[s]")
     return np.char.replace(np.datetime_as_string(stamps, unit="s"), "T", " ")
 
 
@@ -502,36 +510,6 @@ def _format_column(values, kind):
     return cells.tolist()
 
 
-class CellCache:
-    """The cells write_csv formatted, kept for later writes to reuse.
-
-    Pass one shared cache to the writes of tables that share columns. A
-    non-text column whose values are bitwise equal to those last written
-    through the cache under its name and kind reuses their cells, held per
-    block as one "\\n"-joined string, and the column read_csv makes of
-    them. A text column is never reused: its cells may hold a newline. A
-    cache made with ``shared=False`` serves one write and keeps nothing.
-    """
-
-    def __init__(self, shared=True):
-        self.shared = shared
-        self._columns = {}  # name -> _Formatted
-
-    def _lookup(self, name, kind, values, block_rows):
-        hit = self._columns.get(name)
-        if hit is None or (hit.kind, hit.block_rows) != (kind, block_rows):
-            return None
-        if (hit.values.dtype, hit.values.shape) != (values.dtype, values.shape) \
-                or hit.values.tobytes() != values.tobytes():
-            return None
-        return hit
-
-
-# a column as a CellCache holds it: a copy of its values, its cells per
-# block joined by "\n", and the read-only column read_csv makes of them
-_Formatted = namedtuple("_Formatted", "kind block_rows values blocks read_back")
-
-
 def _plain(cells, kinds):
     """Whether csv.writer would quote no cell of these columns, so that
     joining with "," writes the same bytes: no text cell holds a comma, a
@@ -542,39 +520,35 @@ def _plain(cells, kinds):
                    if k == "str")
 
 
-def write_csv(frame, path, cache=None):
+def write_csv(frame, path, memo=None):
     """Write ``frame`` as CSV, formatting each column once per block of rows.
 
     A block with a cell that csv.writer would quote goes through it; every
-    other block is joined with "," and "\\r\\n", the same bytes. With a
-    ``cache`` (CellCache), columns written before through it reuse their
-    cells, and the call returns the frame read_csv would read back from
-    ``path`` under the frame's own kinds, with read-only columns: a number
-    as written (repr round-trips a float) with its NaNs canonical, every
-    other column parsed from its cells.
+    other block is joined with "," and "\\r\\n", the same bytes. A ``memo``
+    dict passed to successive writes keeps each non-text block's cells,
+    joined by "\\n", under the column array's identity: a later write of the
+    same array object reuses them. A text cell may hold a newline, so text
+    is never kept.
     """
     names, kinds, columns = frame._names, frame._kinds, frame._columns
     block_rows = _block_rows(len(names))
-    hits = [cache._lookup(n, k, c, block_rows) if cache is not None else None
-            for n, k, c in zip(names, kinds, columns)]
-    # per column the cache lacks: its "\n"-joined cell blocks, parsed blocks
-    joined = [[] for _ in names]
-    parsed = [[] for _ in names]
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(names)
-            for b, start in enumerate(range(0, frame.n_rows, block_rows)):
+            for start in range(0, frame.n_rows, block_rows):
                 cells = []
-                for j, (kind, col, hit) in enumerate(zip(kinds, columns, hits)):
-                    if hit is not None:
-                        cells.append(hit.blocks[b].split("\n"))
+                for kind, col in zip(kinds, columns):
+                    if memo is None or kind == "str":
+                        cells.append(_format_column(col[start:start + block_rows], kind))
                         continue
-                    cells.append(_format_column(col[start:start + block_rows], kind))
-                    if cache is not None and cache.shared and kind != "str":
-                        joined[j].append("\n".join(cells[-1]))
-                    if cache is not None and kind != "num":
-                        parsed[j].append(_parse_column(cells[-1], kind))
+                    # an entry holds its array, so no other takes its id meanwhile
+                    key = (id(col), kind, start, block_rows)
+                    if key in memo:
+                        cells.append(memo[key][1].split("\n"))
+                    else:
+                        cells.append(_format_column(col[start:start + block_rows], kind))
+                        memo[key] = (col, "\n".join(cells[-1]))
                 if _plain(cells, kinds):
                     fh.write("\r\n".join(map(",".join, zip(*cells))))
                     fh.write("\r\n")
@@ -582,22 +556,40 @@ def write_csv(frame, path, cache=None):
                     writer.writerows(zip(*cells))
     except OSError as exc:
         raise IoFailure(f"{path}: {exc}") from exc
-    if cache is None:
-        return None
-    back = []
-    for name, kind, col, hit, blocks, parts in zip(names, kinds, columns, hits, joined, parsed):
-        if hit is not None:
-            back.append(hit.read_back)
-            continue
-        if kind == "num":
-            values = np.where(np.isnan(col), np.nan, np.asarray(col, dtype=float))
-        else:
-            values = np.concatenate(parts) if parts else _parse_column([], kind)
-        values.flags.writeable = False
-        back.append(values)
-        if cache.shared and kind != "str":
-            cache._columns[name] = _Formatted(kind, block_rows, col.copy(), blocks, values)
-    return PatientFrame(names, kinds, back)
+
+
+def _read_back_column(col, kind):
+    """The values read_csv parses from the cells ``_format_column`` writes
+    for ``col``: a number as written (repr round-trips a float), an integer
+    rounded half to even, a time rounded as ``_format_times`` rounds it and
+    missing outside the years 0001-9999; every NaN canonical."""
+    if kind == "str":
+        return col.astype(object, copy=False)
+    vals = np.asarray(col, dtype=float)
+    if kind == "int":
+        vals = np.rint(vals) + 0.0
+    elif kind == "time":
+        finite = np.isfinite(vals)
+        whole = _whole_seconds(np.where(finite, vals, 0.0))
+        vals = np.where(finite & (whole >= _TIME_FIRST) & (whole < _STAMP_END),
+                        whole + 0.0, np.nan)
+    missing = np.isnan(vals)
+    return np.where(missing, np.nan, vals) if missing.any() else vals
+
+
+def read_back(frame):
+    """The frame read_csv reads from what write_csv writes of ``frame``,
+    under its own kinds, computed from the values alone. Every column is
+    read-only; one whose read-back is bitwise equal to it is a view of it."""
+    columns = []
+    for kind, col in zip(frame._kinds, frame._columns):
+        back = _read_back_column(col, kind)
+        if back is col or (back.dtype == col.dtype == np.float64
+                           and np.array_equal(back.view(np.int64), col.view(np.int64))):
+            back = col.view()
+        back.flags.writeable = False
+        columns.append(back)
+    return PatientFrame(frame._names, frame._kinds, columns)
 
 
 # --- key lookups ---

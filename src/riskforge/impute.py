@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllMissingColumn, LayoutMismatch, SingularDesignWarning
-from .frame import PatientFrame
 
 METHODS = ("mean", "median", "mice", "zero", "none")
 
@@ -203,6 +202,9 @@ def mice_impute(frame, cfg, columns=None):
     the whole design; the draws equal those of a per-column regression on
     the copied, standardised design up to rounding. A chain whose system
     is singular mean-fills that column and warns.
+
+    Each completed frame replaces the columns it fills through
+    ``with_column``, so the m frames share every other column's array.
     """
     if columns is None:
         columns = [n for n in frame.names if frame.kind(n) == "num"]
@@ -232,20 +234,14 @@ def mice_impute(frame, cfg, columns=None):
         for j, mis in zip(targets, rows):
             _redraw_column(W, gram, sums, j, mis, scale, cfg.ridge_penalty, rngs)
 
-    imputed = {columns[j]: j for j in targets}
-    names = frame.names
-    kinds = ["num" if n in imputed else frame.kind(n) for n in names]
     completed = []
     for k in range(cfg.m):
-        cols = []
-        for name in names:
-            vals = frame.values(name)
-            if name in imputed:
-                j = imputed[name]
-                mis = M[:, j]
-                vals[mis] = col_means[j] + scale[j] * W[k, mis, j]
-            cols.append(vals)
-        completed.append(PatientFrame(names, kinds, cols))
+        out = frame
+        for j in targets:
+            vals = frame.values(columns[j])
+            vals[M[:, j]] = col_means[j] + scale[j] * W[k, M[:, j], j]
+            out = out.with_column(columns[j], "num", vals)
+        completed.append(out)
     return completed
 
 

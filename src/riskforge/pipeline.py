@@ -9,9 +9,10 @@ whole-number columns are ``INT_COLUMNS``: the ids, the outcome,
 ``harmonize.FLAG_NAMES`` and ``text.INDICATORS``; the rest read as reals.
 
 A process does not parse the checkpoints it wrote. ``_save`` keeps each
-table as ``read_csv`` would read it back (frame.write_csv returns that
-frame) with the file's (device, inode, size, mtime) taken after the
-rename. ``_load`` serves the kept frame, sharing its read-only columns,
+table as ``read_csv`` would read it back (``frame.read_back`` computes it
+from the values; a column that already holds those values is kept as a
+read-only view, not a copy) with the file's (device, inode, size, mtime)
+taken after the rename. ``_load`` serves the kept frame, sharing its read-only columns,
 when the file still has that stat and every requested column has the
 kind it was saved with; otherwise, as when the file was rewritten by
 another writer or a stage runs in a new process, it reads the disk.
@@ -32,7 +33,7 @@ from . import design, gbt, glm, impute, lasso, svgplot, text as text_mod
 from .config import stage_seed
 from .cohort import CohortConfig, build_cohort
 from .errors import DuplicateCohortRow, MissingArtifact, SingularHessian, TooFewRows
-from .frame import (CellCache, PatientFrame, join, read_csv, read_header,
+from .frame import (PatientFrame, join, read_back, read_csv, read_header,
                     write_csv)
 from .harmonize import (DEFAULT_PLAUSIBILITY, FLAG_NAMES, PlausibilityRule,
                         build_structured_features, fahrenheit_to_celsius, stay_window)
@@ -70,18 +71,16 @@ def _atomic(cfg, name, write):
     return path
 
 
-def _save(cfg, name, table, cache=None):
+def _save(cfg, name, table, memo=None):
     """Write a frame, or a [(column, kind, values)] list, as ``out_dir/name``
-    and keep it in memory as read back, for ``_load``. ``cache`` is a
-    CellCache shared with the writes of tables that share columns."""
+    and keep it in memory as read back, for ``_load``. ``memo`` is a dict
+    shared with the writes of tables that share column arrays."""
     frame = table if isinstance(table, PatientFrame) else PatientFrame.from_columns(table)
-    cache = CellCache(shared=False) if cache is None else cache
-    kept = []
-    path = _atomic(cfg, name, lambda tmp: kept.append(write_csv(frame, tmp, cache)))
+    path = _atomic(cfg, name, lambda tmp: write_csv(frame, tmp, memo))
     full = os.path.abspath(path)
     if any(os.path.dirname(p) != os.path.dirname(full) for p in _SAVED):
         _SAVED.clear()
-    _SAVED[full] = (_stat_key(full), kept[0])
+    _SAVED[full] = (_stat_key(full), read_back(frame))
     return path
 
 
@@ -249,7 +248,7 @@ def run_impute(cfg):
     completed = mice_impute(single, mcfg, mice_columns)
 
     outs = []
-    cache = CellCache()  # the m tables share every column MICE does not fill
+    memo = {}  # the m tables share the array of every column MICE does not fill
     for k, frame in enumerate(completed, start=1):
         missing = frame.mask("gcs_total")
         if missing.any():
@@ -257,7 +256,7 @@ def run_impute(cfg):
             total[missing] = sum(frame.values(f"gcs_{part}_mean")
                                  for part in ("eye", "verbal", "motor"))[missing]
             frame = frame.with_column("gcs_total", "num", total)
-        outs.append(_save(cfg, f"imputed_{k}.csv", frame, cache))
+        outs.append(_save(cfg, f"imputed_{k}.csv", frame, memo))
 
     outs.append(_save(cfg, "imputation_report.csv", _rows(
         [("variable", "str"), ("missing_count", "int"), ("missing_pct", "num")],

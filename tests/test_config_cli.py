@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import random
 import subprocess
@@ -116,6 +117,45 @@ class TestFreeformSections:
         rules = {r.variable: r for r in effective_plausibility(cfg)}
         assert rules["hr"].lower == 30.0 and rules["hr"].upper == 250.0
         assert rules["wbc"].lower == 1.0  # untouched default
+
+    @pytest.mark.parametrize("section, entry", [("plausibility", "lactat = 0, 10"),
+                                                ("impute", "lactat = mean"),
+                                                ("plausibility", "anchor_age = 18, 120")])
+    def test_unknown_variable_rejected(self, tmp_path, section, entry):
+        p = write_cfg(tmp_path, f"[{section}]\n{entry}\n")
+        with pytest.raises(ConfigInvalid) as exc:
+            validate_config(p)
+        assert exc.value.field == f"{section}.{entry.split()[0]}"
+        assert main(["synth", "--config", str(p)]) == 2
+
+    def test_impute_accepts_the_derived_and_age_columns(self, tmp_path):
+        p = write_cfg(tmp_path, "[impute]\ngcs_total = mean\nanchor_age = median\n")
+        assert validate_config(p).impute_overrides == (("gcs_total", "mean"),
+                                                        ("anchor_age", "median"))
+
+
+class TestCommentsAndEcho:
+    def test_the_readme_example_config_is_valid(self, tmp_path):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8") as fh:
+            readme = fh.read()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = validate_config(write_cfg(tmp_path, block))
+        assert cfg.plausibility_overrides == (("hr", 30.0, 250.0),)
+        assert cfg.impute_overrides == (("lactate", "mean"),)
+        assert (cfg.data_dir, cfg.seed, cfg.synth_n) == ("runs/demo/data", 42, 2000)
+
+    def test_echoed_config_reads_back_as_the_same_config(self, tmp_path):
+        p = write_cfg(tmp_path, "[split]\nseed = 9\n[lasso]\nrule = 1se\n"
+                                "[plausibility]\nhr = 30, 250.5\nlactate = 0.1, 1e2\n"
+                                "[impute]\nlactate = mean\ngcs_total = zero\n")
+        cfg = validate_config(p)
+        assert "lasso.folds" in cfg.defaulted
+        echoed = echo_config(cfg)
+        assert "[plausibility]\nhr = 30.0, 250.5\nlactate = 0.1, 100.0\n" in echoed
+        again = validate_config(write_cfg(tmp_path, echoed))
+        assert again.defaulted == ()
+        assert again == dataclasses.replace(cfg, defaulted=())
 
 
 class TestStageSeed:

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 from datetime import datetime, timedelta
 from unittest import mock
 
@@ -10,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from riskforge.errors import DuplicateCohortRow, MissingColumn
 from riskforge import frame as frame_mod
-from riskforge.frame import (KINDS, CellCache, PatientFrame, _block_rows,
-                             _format_column, aggregate_by_key, join, parse_time,
-                             format_time, read_csv, segment_means, write_csv)
+from riskforge.frame import (KINDS, PatientFrame, _block_rows, _format_column,
+                             aggregate_by_key, join, parse_time, format_time, read_back,
+                             read_csv, segment_means, write_csv)
 from riskforge.harmonize import stay_window, window_24h
 
 
@@ -551,58 +552,71 @@ class TestLeanWriter:
         assert (tmp_path / "x.csv").read_bytes() == csv_writer_bytes(frame)
 
 
-class TestCellCache:
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_writes_through_a_cache_match_csv_writer_and_read_back(
-            self, tmp_path_factory, data):
-        n_rows = data.draw(st.integers(0, 9))
-        first = draw_frame(data, n_rows, data.draw(st.integers(1, 4)))
-        # a second table sharing some of the first one's columns
-        second = draw_frame(data, n_rows, data.draw(st.integers(1, 4)))
-        for name in first.names:
-            if name not in second.names and data.draw(st.booleans()):
-                second = second.with_column(name, first.kind(name), first.values(name))
-        root = tmp_path_factory.mktemp("cache")
-        cache = CellCache()
-        with mock.patch.object(frame_mod, "_BLOCK_MIN_ROWS", 2), \
-                mock.patch.object(frame_mod, "_BLOCK_CELLS", 4):
-            for k, frame in enumerate((first, second, first)):
-                path = root / f"{k}.csv"
-                back = write_csv(frame, path, cache)
-                assert path.read_bytes() == csv_writer_bytes(frame)
-                assert_read_back(back, path)
+# seconds at the first and last instants a time cell parses in, and just past them
+TIME_EDGES = [np.datetime64(d, "s").astype(np.int64).item()
+              for d in ("0000-12-31T23:59:59", "0001-01-01", "9999-12-31T23:59:59",
+                        "10000-01-01")]
+NEGATIVE_NAN = -np.float64(np.nan)  # the sign bit set, as 0 * inf makes
+# cells around the rounding and range edges of each numeric kind
+EDGE_CELLS = {
+    "num": st.one_of(st.floats(), st.sampled_from([-0.0, np.inf, NEGATIVE_NAN])),
+    "int": st.one_of(st.integers(-10 ** 12, 10 ** 12).map(float),
+                     st.integers(-9, 9).map(lambda h: h / 2),  # halves round to even
+                     st.floats(-1e3, 1e3), st.sampled_from([-0.0, 1e20, np.nan, NEGATIVE_NAN])),
+    "time": st.one_of(
+        st.floats(-7e10, 3e11, allow_nan=False),
+        st.builds(lambda t, d: t + d, st.sampled_from(TIME_EDGES),
+                  st.sampled_from([-1.0, -0.5, -5e-7, 0.0, 0.4999995, 0.5, 0.9999995])),
+        st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, -0.0, 0.5, -0.5, 1.5])),
+    "str": QUOTABLE,
+}
 
-    def test_shared_columns_are_formatted_once_and_read_back_as_one_array(self, tmp_path):
-        shared = np.linspace(0, 1, 600)
-        frames = [PatientFrame.from_columns([("a", "num", shared), ("b", "num", shared * k),
-                                             ("c", "str", ["x"] * 600)])
-                  for k in (1, 2)]
-        cache = CellCache()
+
+class TestReadBack:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_read_csv_of_what_write_csv_writes(self, tmp_path_factory, data):
+        n_rows = data.draw(st.integers(0, 9))
+        names = data.draw(st.lists(QUOTABLE, min_size=1, max_size=4, unique=True))
+        kinds = [data.draw(st.sampled_from(KINDS)) for _ in names]
+        columns = [np.array(data.draw(st.lists(EDGE_CELLS[k], min_size=n_rows, max_size=n_rows)),
+                            dtype=object if k == "str" else float) for k in kinds]
+        frame = PatientFrame(names, kinds, columns)
+        path = tmp_path_factory.mktemp("back") / "x.csv"
+        # tiny blocks, so that a column's blocks take different parse paths
+        with warnings.catch_warnings(), mock.patch.object(frame_mod, "_BLOCK_MIN_ROWS", 2), \
+                mock.patch.object(frame_mod, "_BLOCK_CELLS", 4):
+            warnings.simplefilter("ignore", RuntimeWarning)  # casting an infinite time
+            write_csv(frame, path)
+        back = read_back(frame)
+        assert_read_back(back, path)
+        for col, kept in zip(columns, back._columns):
+            assert (kept.base is col) == (col.tobytes() == kept.tobytes())
+
+    def test_a_shared_array_is_formatted_once_per_block_through_a_memo(self, tmp_path):
+        n = 2 * _block_rows(3) + 1  # three blocks
+        shared, text = np.linspace(0, 1, n), np.array(["x"] * n, dtype=object)
+        # "b" holds equal values in distinct arrays: a memo matches arrays, not values
+        frames = [PatientFrame(["a", "b", "c"], ["num", "num", "str"], [shared, shared * k, text])
+                  for k in (1, 1)]
+        memo = {}
         with mock.patch.object(frame_mod, "_format_column",
                                wraps=frame_mod._format_column) as fmt:
-            backs = [write_csv(f, tmp_path / f"{k}.csv", cache) for k, f in enumerate(frames)]
+            for k, f in enumerate(frames):
+                write_csv(f, tmp_path / f"{k}.csv", memo)
         formatted = [c.args[1] for c in fmt.call_args_list]
-        assert formatted.count("num") == 3 * len(range(0, 600, _block_rows(3)))
-        assert backs[0]._columns[0] is backs[1]._columns[0]
-        assert backs[0]._columns[1] is not backs[1]._columns[1]
-        for k, back in enumerate(backs):
-            assert_read_back(back, tmp_path / f"{k}.csv")
-
-    def test_an_unshared_cache_reads_back_and_keeps_nothing(self, tmp_path):
-        frame = make_frame(a=("num", [1.0, 2.0], [False, True]), b=("str", ["x", ""]))
-        cache = CellCache(shared=False)
-        back = write_csv(frame, tmp_path / "x.csv", cache)
-        assert_read_back(back, tmp_path / "x.csv")
-        assert cache._columns == {}
+        # per block: "a" once for both writes, "b" and "c" once per write
+        assert (formatted.count("num"), formatted.count("str")) == (3 * 3, 2 * 3)
+        for k, f in enumerate(frames):
+            assert (tmp_path / f"{k}.csv").read_bytes() == csv_writer_bytes(f)
 
     def test_nan_payloads_read_back_canonical(self, tmp_path):
-        odd = np.array([np.nan, 1.0]).view(np.uint64)
-        odd[0] |= 1 << 63  # a negative NaN, as 0 * inf makes
-        frame = PatientFrame(["v"], ["num"], [odd.view(float)])
-        back = write_csv(frame, tmp_path / "x.csv", CellCache())
+        frame = PatientFrame(["v"], ["num"], [np.array([NEGATIVE_NAN, 1.0])])
+        write_csv(frame, tmp_path / "x.csv")
+        back = read_back(frame)
         assert_read_back(back, tmp_path / "x.csv")
         assert back._columns[0].view(np.uint64)[0] == np.array(np.nan).view(np.uint64)
+        assert back._columns[0].base is not frame._columns[0]
 
 
 @settings(max_examples=60, deadline=None)

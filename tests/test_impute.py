@@ -191,6 +191,16 @@ class TestMice:
             for col in ("a", "b", "c"):
                 assert np.array_equal(a.values(col), b.values(col))
 
+    def test_frames_share_the_arrays_of_columns_they_do_not_fill(self):
+        f = make_frame(a=("num", [1.0, 2.0, 3.0, 4.0], [False, True, False, False]),
+                       b=("num", [2.0, 1.0, 0.0, 5.0]), s=("str", ["w", "x", "y", "z"]))
+        outs = mice_impute(f, MiceConfig(m=3, max_iter=2, seed=0))
+        for o in outs:
+            assert o.names == f.names
+            assert o._columns[1] is f._columns[1] and o._columns[2] is f._columns[2]
+            assert not np.shares_memory(o._columns[0], f._columns[0])
+        assert outs[0]._columns[0] is not outs[1]._columns[0]
+
     def test_observed_cells_preserved_exactly(self):
         rng = np.random.default_rng(7)
         vals = rng.standard_normal((40, 2))
