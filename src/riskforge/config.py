@@ -1,16 +1,18 @@
 """Run configuration: sectioned key-value text file -> validated RunConfig.
 
-Every knob has a documented default; values supplied by the file are
-normalized and range-checked, and the echoed form marks which entries fell
-back to defaults. A warning is emitted when split.seed is defaulted, since
-silent seed changes are the classic reproducibility leak.
+Every knob has a documented default; each RunConfig field the file may set
+declares, beside its default, its section, key and range check. Values
+supplied by the file are converted by the field's type and range-checked,
+and the echoed form marks which entries fell back to defaults. A warning
+is emitted when split.seed is defaulted, since silent seed changes are the
+classic reproducibility leak.
 """
 
 import configparser
 import io
 import warnings
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigInvalid
 from .harmonize import CHART_NAMES, LAB_NAMES
@@ -23,75 +25,55 @@ def stage_seed(root_seed, label):
     return zlib.crc32(f"{root_seed}:{label}".encode()) & 0x7FFFFFFF
 
 
+def _option(section, key, default, check=None):
+    """A RunConfig field read from ``key`` in ``[section]``: its value is
+    converted by the field's type and must satisfy ``check``."""
+    return field(default=default, metadata={"section": section, "key": key, "check": check})
+
+
 @dataclass
 class RunConfig:
-    data_dir: str = "."
-    out_dir: str = "out"
-    icd_codes: tuple = ("4275", "I46")
-    min_age: int = 18
-    train_fraction: float = 0.8
-    seed: int = 42
-    mice_m: int = 5
-    mice_max_iter: int = 10
-    mice_ridge: float = 1e-3
-    vocab_size: int = 500
-    svd_target: float = 0.80
-    pca_target: float = 0.90
-    lasso_folds: int = 10
-    lasso_grid: int = 100
-    lasso_rule: str = "pct75"
-    gbt_max_depth: int = 3
-    gbt_learning_rate: float = 0.05
-    gbt_n_trees: int = 100
-    gbt_subsample: float = 0.8
-    gbt_top_k_structured: int = 17
-    gbt_top_k_multimodal: int = 64
-    dca_grid_step: float = 0.01
-    calibration_bins: int = 10
-    synth_n: int = 2000
-    synth_prevalence: float = 0.52
-    synth_text_signal: float = 1.0
-    synth_emb_dim: int = 768
+    data_dir: str = _option("paths", "data_dir", ".")
+    out_dir: str = _option("paths", "out_dir", "out")
+    icd_codes: tuple = _option("cohort", "icd_codes", ("4275", "I46"))
+    min_age: int = _option("cohort", "min_age", 18, lambda v: v >= 0)
+    train_fraction: float = _option("split", "train_fraction", 0.8, lambda v: 0.0 < v < 1.0)
+    seed: int = _option("split", "seed", 42)
+    mice_m: int = _option("mice", "m", 5, lambda v: v >= 2)
+    mice_max_iter: int = _option("mice", "max_iter", 10, lambda v: v >= 1)
+    mice_ridge: float = _option("mice", "ridge_penalty", 1e-3, lambda v: v > 0)
+    vocab_size: int = _option("text", "vocab_size", 500, lambda v: v >= 1)
+    svd_target: float = _option("text", "svd_target", 0.80, lambda v: 0.0 < v <= 1.0)
+    pca_target: float = _option("text", "pca_target", 0.90, lambda v: 0.0 < v <= 1.0)
+    lasso_folds: int = _option("lasso", "folds", 10, lambda v: v >= 2)
+    lasso_grid: int = _option("lasso", "grid_size", 100, lambda v: v >= 2)
+    lasso_rule: str = _option("lasso", "rule", "pct75", lambda v: v in RULES)
+    gbt_max_depth: int = _option("gbt", "max_depth", 3, lambda v: v >= 1)
+    gbt_learning_rate: float = _option("gbt", "learning_rate", 0.05, lambda v: 0.0 < v <= 1.0)
+    gbt_n_trees: int = _option("gbt", "n_trees", 100, lambda v: v >= 1)
+    gbt_subsample: float = _option("gbt", "subsample", 0.8, lambda v: 0.0 < v <= 1.0)
+    gbt_top_k_structured: int = _option("gbt", "top_k_structured", 17, lambda v: v >= 1)
+    gbt_top_k_multimodal: int = _option("gbt", "top_k_multimodal", 64, lambda v: v >= 1)
+    dca_grid_step: float = _option("eval", "dca_grid_step", 0.01, lambda v: 0.0 < v < 0.5)
+    calibration_bins: int = _option("eval", "calibration_bins", 10, lambda v: v >= 2)
+    synth_n: int = _option("synth", "n_patients", 2000, lambda v: v >= 10)
+    synth_prevalence: float = _option("synth", "prevalence", 0.52, lambda v: 0.0 < v < 1.0)
+    synth_text_signal: float = _option("synth", "text_signal", 1.0, lambda v: v >= 0.0)
+    synth_emb_dim: int = _option("synth", "emb_dim", 768, lambda v: v >= 2)
     plausibility_overrides: tuple = ()   # (variable, lower, upper) triples
     impute_overrides: tuple = ()         # (variable, method) pairs
     defaulted: tuple = ()
 
 
-_SCHEMA = {
-    ("paths", "data_dir"): ("data_dir", str, None),
-    ("paths", "out_dir"): ("out_dir", str, None),
-    ("cohort", "icd_codes"): ("icd_codes", "codes", None),
-    ("cohort", "min_age"): ("min_age", int, lambda v: v >= 0),
-    ("split", "train_fraction"): ("train_fraction", float, lambda v: 0.0 < v < 1.0),
-    ("split", "seed"): ("seed", int, None),
-    ("mice", "m"): ("mice_m", int, lambda v: v >= 2),
-    ("mice", "max_iter"): ("mice_max_iter", int, lambda v: v >= 1),
-    ("mice", "ridge_penalty"): ("mice_ridge", float, lambda v: v > 0),
-    ("text", "vocab_size"): ("vocab_size", int, lambda v: v >= 1),
-    ("text", "svd_target"): ("svd_target", float, lambda v: 0.0 < v <= 1.0),
-    ("text", "pca_target"): ("pca_target", float, lambda v: 0.0 < v <= 1.0),
-    ("lasso", "folds"): ("lasso_folds", int, lambda v: v >= 2),
-    ("lasso", "grid_size"): ("lasso_grid", int, lambda v: v >= 2),
-    ("lasso", "rule"): ("lasso_rule", str, lambda v: v in RULES),
-    ("gbt", "max_depth"): ("gbt_max_depth", int, lambda v: v >= 1),
-    ("gbt", "learning_rate"): ("gbt_learning_rate", float, lambda v: 0.0 < v <= 1.0),
-    ("gbt", "n_trees"): ("gbt_n_trees", int, lambda v: v >= 1),
-    ("gbt", "subsample"): ("gbt_subsample", float, lambda v: 0.0 < v <= 1.0),
-    ("gbt", "top_k_structured"): ("gbt_top_k_structured", int, lambda v: v >= 1),
-    ("gbt", "top_k_multimodal"): ("gbt_top_k_multimodal", int, lambda v: v >= 1),
-    ("eval", "dca_grid_step"): ("dca_grid_step", float, lambda v: 0.0 < v < 0.5),
-    ("eval", "calibration_bins"): ("calibration_bins", int, lambda v: v >= 2),
-    ("synth", "n_patients"): ("synth_n", int, lambda v: v >= 10),
-    ("synth", "prevalence"): ("synth_prevalence", float, lambda v: 0.0 < v < 1.0),
-    ("synth", "text_signal"): ("synth_text_signal", float, lambda v: v >= 0.0),
-    ("synth", "emb_dim"): ("synth_emb_dim", int, lambda v: v >= 2),
-}
+# the fields a config file sets, in file order: (field, section, key, check)
+_OPTIONS = [(f, f.metadata["section"], f.metadata["key"], f.metadata["check"])
+            for f in fields(RunConfig) if f.metadata]
 
 
 def _convert(raw, typ, path):
     if typ is str:
         return raw.strip()
-    if typ == "codes":
+    if typ is tuple:
         codes = tuple(c.strip() for c in raw.split(",") if c.strip())
         if not codes:
             raise ConfigInvalid(path, "needs at least one code")
@@ -157,7 +139,7 @@ def validate_config(path, overrides=None):
         raise ConfigInvalid(str(path), "file not found")
 
     known = {}
-    for (section, key), (attr, typ, check) in _SCHEMA.items():
+    for _, section, key, _ in _OPTIONS:
         known.setdefault(section, set()).add(key)
     known.update(_FREEFORM)
     for section in parser.sections():
@@ -169,14 +151,14 @@ def validate_config(path, overrides=None):
 
     values = {}
     defaulted = []
-    for (section, key), (attr, typ, check) in _SCHEMA.items():
+    for f, section, key, check in _OPTIONS:
         dotted = f"{section}.{key}"
         if parser.has_option(section, key):
-            v = _convert(parser.get(section, key), typ, dotted)
+            v = _convert(parser.get(section, key), f.type, dotted)
             if check is not None and not check(v):
                 raise ConfigInvalid(dotted, f"value {v!r} out of range")
-            values[attr] = v
-        elif attr not in overrides:
+            values[f.name] = v
+        elif f.name not in overrides:
             defaulted.append(dotted)
     cfg = RunConfig(**{**values, **overrides},
                     plausibility_overrides=_parse_plausibility(parser),
@@ -192,14 +174,14 @@ def echo_config(cfg):
     validate_config reads back as ``cfg``; defaulted entries are marked."""
     out = io.StringIO()
     last_section = None
-    for (section, key), (attr, typ, _) in _SCHEMA.items():
+    for f, section, key, _ in _OPTIONS:
         if section != last_section:
             if last_section is not None:
                 out.write("\n")
             out.write(f"[{section}]\n")
             last_section = section
-        v = getattr(cfg, attr)
-        if attr == "icd_codes":
+        v = getattr(cfg, f.name)
+        if f.type is tuple:
             v = ", ".join(v)
         suffix = "  ; default" if f"{section}.{key}" in cfg.defaulted else ""
         out.write(f"{key} = {v}{suffix}\n")

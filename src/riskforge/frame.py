@@ -21,15 +21,25 @@ HH:MM:SS`` parses through ``datetime64[s]``; any other goes cell by cell
 through ``strptime``, since off that form the two disagree (numpy takes a
 bare date, a ``T`` or a leading space, strptime unpadded fields).
 
-A read through a Window (a key column, a time column, and per key a
-[start, end) of seconds) skips, before any parsing, the lines a numpy
-scan of the raw bytes proves to fall outside their key's window: the key
-cell is byte-equal to the key's ``str(int(k))`` and the time cell is
-canonical ``YYYY-MM-DD HH:MM:SS`` sorting outside the formatted bounds.
-Such a cell parses to the time it sorts as or to NaN, so the window
-applied to the parsed frame would drop the line too; every other line,
-and the rest of a file from the first chunk whose fields a comma split
-might misplace (a quote, a NUL, a lone CR), is parsed as without one.
+Every read takes one path: the file is opened as bytes and passed on in
+chunks of whole lines, each of which must be UTF-8 (else IoFailure), to
+one csv.reader. A read through a Window (a key column, a time column, and
+per key a [start, end) of seconds) also skips, before any parsing, the
+lines a numpy scan of the raw bytes proves to fall outside their key's
+window: the key cell is byte-equal to the key's ``str(int(k))`` and the
+time cell is canonical ``YYYY-MM-DD HH:MM:SS`` sorting outside the
+formatted bounds. Such a cell parses to the time it sorts as or to NaN,
+so the window applied to the parsed frame would drop the line too; every
+other line, and the rest of a file from the first chunk whose fields a
+comma split might misplace (a quote, a NUL, a lone CR), is parsed as
+without one.
+
+``_read_back_column`` alone says what a written numeric cell holds (an
+``int`` rounded half to even, a ``time`` in whole seconds of the years
+0001-9999, neither of them infinite). The writer formats its values, blank
+where NaN, so ``read_back`` gives, from the values alone, the frame
+read_csv reads from what write_csv writes: a process need not parse the
+CSV it has just written.
 
 Writing formats each column once per block of rows: a ``num`` column in
 one ``repr`` of its list, whose cells round-trip every float. The writer
@@ -39,9 +49,7 @@ text cell can, and a one-column row whose cell is blank is written as
 ``""``. A block with such a cell goes through csv.writer; every other
 block is joined with "," and "\\r\\n", which writes the same bytes. A
 memo dict passed to successive writes formats a column array they share
-once per block. ``read_back`` computes, from the values alone, the frame
-read_csv reads from what write_csv writes, so a process need not parse
-the CSV it has just written.
+once per block.
 
 A join is a lookup: each left row takes the one right row whose numeric
 keys all equal its own, found through ``index_of``, and a repeated right
@@ -286,7 +294,7 @@ def read_header(path):
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             header = next(csv.reader(fh), None)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"{path}: {exc}") from exc
     if header is None:
         raise IoFailure(f"{path}: empty file, no header")
@@ -382,7 +390,7 @@ def _in_window(chunk, fields, stays):
 
 def _window_bytes(fh, header, window):
     """The bytes of the CSV open as binary ``fh``, in pieces of whole lines,
-    less lines ``window`` rules out (``read_csv`` says which).
+    less lines ``window``, if any, rules out (``read_csv`` says which).
 
     The bytes are scanned in chunks of about ``_SCAN_BYTES`` cut after a
     newline. Every chunk that is not ASCII is decoded whole, so a UTF-8
@@ -390,9 +398,10 @@ def _window_bytes(fh, header, window):
     split into fields, the header's included, the rest passes unfiltered;
     so does a last line with no newline. The header line is always kept.
     """
-    stays = _window_stays(window)
-    fields = (header.index(window.key), header.index(window.time))
-    scan, top, tail = stays[0].size > 0, True, b""
+    if window is not None:
+        stays = _window_stays(window)
+        fields = (header.index(window.key), header.index(window.time))
+    scan, top, tail = window is not None and stays[0].size > 0, True, b""
     while True:
         more = fh.read(_SCAN_BYTES)
         buf = tail + more
@@ -427,7 +436,9 @@ def read_csv(path, schema, window=None):
     ``schema`` is [(name, kind), ...]; file columns not in the schema are
     ignored, schema columns absent from the header raise MissingColumn.
     Blank cells are missing; short rows read as blank cells. Row order is
-    preserved. The module docstring gives the cell rules.
+    preserved. The module docstring gives the cell rules. The file is read
+    as bytes, in chunks of whole lines; one that is not UTF-8 raises
+    IoFailure naming ``path``.
 
     With a ``window`` (a Window), a byte scan skips lines that provably
     fall outside their stay's window: the line's ``window.key`` cell is
@@ -451,10 +462,9 @@ def read_csv(path, schema, window=None):
     collecting = gc.isenabled()
     gc.disable()
     try:
-        with (open(path, "r", encoding="utf-8", newline="") if window is None
-              else open(path, "rb")) as fh:
+        with open(path, "rb") as fh:
             # each piece is decoded and split into lines as the file would be
-            reader = csv.reader(fh if window is None else itertools.chain.from_iterable(
+            reader = csv.reader(itertools.chain.from_iterable(
                 io.TextIOWrapper(io.BytesIO(piece), encoding="utf-8", newline="")
                 for piece in _window_bytes(fh, header, window)))
             next(reader)  # the header
@@ -466,7 +476,7 @@ def read_csv(path, schema, window=None):
                                for j, (_, kind) in zip(positions, schema)])
                 if len(rows) < block_rows:
                     break
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"{path}: {exc}") from exc
     finally:
         if collecting:
@@ -475,35 +485,29 @@ def read_csv(path, schema, window=None):
     return PatientFrame([n for n, _ in schema], [k for _, k in schema], columns)
 
 
-def _whole_seconds(seconds):
-    """Seconds as ``format_time`` writes them: timedelta rounds to the
-    microsecond, half to even, and strftime drops the fraction."""
-    whole = np.trunc(seconds)
-    return whole + np.floor(np.rint((seconds - whole) * 1e6) / 1e6)
-
-
 def _format_times(seconds):
-    """Cells as ``format_time`` writes them."""
+    """Cells as ``format_time`` writes whole ``seconds``."""
     if seconds.size == 0:
         return np.zeros(0, dtype=object)
-    stamps = _whole_seconds(seconds).astype(np.int64).astype("datetime64[s]")
+    stamps = seconds.astype(np.int64).astype("datetime64[s]")
     return np.char.replace(np.datetime_as_string(stamps, unit="s"), "T", " ")
 
 
 def _format_column(values, kind):
-    """One column -> list of cell strings, blank where missing."""
+    """One column -> list of cell strings: the values ``_read_back_column``
+    gives, blank where they are NaN."""
     if kind == "str":
         return values.tolist()
     if values.size == 0:
         return []
+    vals = _read_back_column(values, kind)
     if kind == "num":
         # one C call; a float's repr holds no ", " and only a NaN's reads "nan"
-        return repr(np.asarray(values, dtype=float).tolist())[1:-1] \
-            .replace("nan", "").split(", ")
-    missing = np.isnan(values)
-    live = np.where(missing, 0.0, values)
+        return repr(vals.tolist())[1:-1].replace("nan", "").split(", ")
+    missing = np.isnan(vals)
+    live = np.where(missing, 0.0, vals)
     if kind == "int":
-        cells = np.array(list(map(str, map(round, live.tolist()))), dtype=object)
+        cells = np.array(list(map(str, map(int, live.tolist()))), dtype=object)
     else:
         cells = _format_times(live).astype(object)
     cells[missing] = ""
@@ -559,18 +563,23 @@ def write_csv(frame, path, memo=None):
 
 
 def _read_back_column(col, kind):
-    """The values read_csv parses from the cells ``_format_column`` writes
-    for ``col``: a number as written (repr round-trips a float), an integer
-    rounded half to even, a time rounded as ``_format_times`` rounds it and
-    missing outside the years 0001-9999; every NaN canonical."""
+    """The values read_csv parses from the cells write_csv writes for
+    ``col``, and so the values ``_format_column`` formats: a number as
+    written (repr round-trips a float), an integer rounded half to even and
+    missing where not finite, a time in whole seconds as ``format_time``
+    writes it (timedelta rounds to the microsecond, half to even, and
+    strftime drops the fraction) and missing unless finite and in the years
+    0001-9999; every NaN canonical."""
     if kind == "str":
         return col.astype(object, copy=False)
     vals = np.asarray(col, dtype=float)
     if kind == "int":
-        vals = np.rint(vals) + 0.0
+        vals = np.where(np.isinf(vals), np.nan, np.rint(vals) + 0.0)
     elif kind == "time":
         finite = np.isfinite(vals)
-        whole = _whole_seconds(np.where(finite, vals, 0.0))
+        live = np.where(finite, vals, 0.0)
+        whole = np.trunc(live)
+        whole += np.floor(np.rint((live - whole) * 1e6) / 1e6)
         vals = np.where(finite & (whole >= _TIME_FIRST) & (whole < _STAMP_END),
                         whole + 0.0, np.nan)
     missing = np.isnan(vals)

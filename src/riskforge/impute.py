@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import AllMissingColumn, LayoutMismatch, SingularDesignWarning
 
-METHODS = ("mean", "median", "mice", "zero", "none")
+METHODS = ("mean", "median", "mice", "zero")
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,9 @@ DEFAULT_POLICY_METHODS = {
     "hematocrit": "median", "hemoglobin": "median", "platelet": "median",
     "wbc": "median", "bun": "median", "potassium": "median",
     "calcium": "median", "chloride": "median", "anion_gap": "median",
+    # left to the chained equations, which do not fill it: run_impute
+    # recomputes it from the imputed components
+    "gcs_total": "mice",
 }
 
 
@@ -78,20 +81,16 @@ def default_policies(columns, overrides=None):
             if col.endswith(suffix):
                 base = col[: -len(suffix)]
                 break
-        method = overrides.get(base, DEFAULT_POLICY_METHODS.get(base))
-        if base == "gcs_total" and base not in overrides:
-            method = "none"  # recomputed from imputed components
-        if method is None:
-            method = "median"
+        method = overrides.get(base, DEFAULT_POLICY_METHODS.get(base, "median"))
         out.append(ImputePolicy(col, method))
     return out
 
 
 def impute_single(frame, policies):
-    """Fill missing cells under mean/median/zero policies; others untouched."""
+    """Fill missing cells under mean/median/zero policies; mice ones untouched."""
     out = frame
     for pol in policies:
-        if pol.method in ("mice", "none"):
+        if pol.method == "mice":
             continue
         vals = out.values(pol.variable)
         missing = np.isnan(vals)

@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 from riskforge.cli import main
-from riskforge.config import echo_config, stage_seed, validate_config
+from riskforge.config import RunConfig, echo_config, stage_seed, validate_config
 from riskforge.errors import ConfigInvalid
 from riskforge.pipeline import STAGES, forget_saved, run_all
 
@@ -78,6 +78,22 @@ class TestValidateConfig:
         assert cfg.seed == 9
         assert "lasso.folds" not in cfg.defaulted
 
+    def test_every_key_set_to_its_default_reads_back_as_the_defaults(self, tmp_path):
+        p = write_cfg(tmp_path, (
+            "[paths]\ndata_dir = .\nout_dir = out\n"
+            "[cohort]\nicd_codes = 4275, I46\nmin_age = 18\n"
+            "[split]\ntrain_fraction = 0.8\nseed = 42\n"
+            "[mice]\nm = 5\nmax_iter = 10\nridge_penalty = 0.001\n"
+            "[text]\nvocab_size = 500\nsvd_target = 0.8\npca_target = 0.9\n"
+            "[lasso]\nfolds = 10\ngrid_size = 100\nrule = pct75\n"
+            "[gbt]\nmax_depth = 3\nlearning_rate = 0.05\nn_trees = 100\nsubsample = 0.8\n"
+            "top_k_structured = 17\ntop_k_multimodal = 64\n"
+            "[eval]\ndca_grid_step = 0.01\ncalibration_bins = 10\n"
+            "[synth]\nn_patients = 2000\nprevalence = 0.52\ntext_signal = 1.0\nemb_dim = 768\n"))
+        cfg = validate_config(p)
+        assert cfg.defaulted == ()
+        assert cfg == RunConfig()
+
 
 class TestFreeformSections:
     def test_plausibility_override_parsed(self, tmp_path):
@@ -100,9 +116,12 @@ class TestFreeformSections:
         assert ("lactate", "mean") in cfg.impute_overrides
 
     def test_impute_unknown_method_rejected(self, tmp_path):
-        p = write_cfg(tmp_path, "[impute]\nlactate = magic\n")
-        with pytest.raises(ConfigInvalid):
-            validate_config(p)
+        # "none" too: no method leaves a variable missing, as MICE fills
+        # every cell no single fill does
+        for method in ("magic", "none"):
+            p = write_cfg(tmp_path, f"[impute]\nlactate = {method}\n")
+            with pytest.raises(ConfigInvalid):
+                validate_config(p)
 
     def test_overrides_reach_the_policy_table(self, tmp_path):
         from riskforge.impute import default_policies
@@ -111,7 +130,6 @@ class TestFreeformSections:
             {"lactate_mean": "mean", "hr_mean": "mean"}
 
     def test_overrides_reach_the_rule_table(self, tmp_path):
-        from riskforge.config import RunConfig
         from riskforge.pipeline import effective_plausibility
         cfg = RunConfig(plausibility_overrides=(("hr", 30.0, 250.0),))
         rules = {r.variable: r for r in effective_plausibility(cfg)}
@@ -369,6 +387,18 @@ class TestMalformedInputs:
         assert rc == 1
         assert err.count("\n") == 1 and "at least 2 rows, got 1" in err
         assert "radiology.csv" in err and "radiology_emb.csv" not in err
+
+    def test_undecodable_input_exits_1(self, tmp_path, capsys):
+        cfg = TestCli().cfg_file(tmp_path)
+        assert main(["synth", "--config", str(cfg)]) == 0
+        patients = tmp_path / "data" / "patients.csv"
+        lines = patients.read_bytes().splitlines(keepends=True)
+        patients.write_bytes(b"".join(lines[:-1]) + b"\xff" + lines[-1])
+        capsys.readouterr()
+        rc = main(["cohort", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and "patients.csv" in err and "utf-8" in err
 
     def test_repeated_patients_row_exits_1(self, tmp_path, capsys):
         record, err, prefix = self.repeat_cohort_row(tmp_path, capsys, "patients", "subject_id")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riskforge.errors import DuplicateCohortRow, MissingColumn
+from riskforge.errors import DuplicateCohortRow, IoFailure, MissingColumn
 from riskforge import frame as frame_mod
 from riskforge.frame import (KINDS, PatientFrame, _block_rows, _format_column,
                              aggregate_by_key, join, parse_time, format_time, read_back,
@@ -562,7 +562,8 @@ EDGE_CELLS = {
     "num": st.one_of(st.floats(), st.sampled_from([-0.0, np.inf, NEGATIVE_NAN])),
     "int": st.one_of(st.integers(-10 ** 12, 10 ** 12).map(float),
                      st.integers(-9, 9).map(lambda h: h / 2),  # halves round to even
-                     st.floats(-1e3, 1e3), st.sampled_from([-0.0, 1e20, np.nan, NEGATIVE_NAN])),
+                     st.floats(-1e3, 1e3),
+                     st.sampled_from([-0.0, 1e20, 1e300, np.inf, -np.inf, np.nan, NEGATIVE_NAN])),
     "time": st.one_of(
         st.floats(-7e10, 3e11, allow_nan=False),
         st.builds(lambda t, d: t + d, st.sampled_from(TIME_EDGES),
@@ -584,9 +585,8 @@ class TestReadBack:
         frame = PatientFrame(names, kinds, columns)
         path = tmp_path_factory.mktemp("back") / "x.csv"
         # tiny blocks, so that a column's blocks take different parse paths
-        with warnings.catch_warnings(), mock.patch.object(frame_mod, "_BLOCK_MIN_ROWS", 2), \
+        with mock.patch.object(frame_mod, "_BLOCK_MIN_ROWS", 2), \
                 mock.patch.object(frame_mod, "_BLOCK_CELLS", 4):
-            warnings.simplefilter("ignore", RuntimeWarning)  # casting an infinite time
             write_csv(frame, path)
         back = read_back(frame)
         assert_read_back(back, path)
@@ -609,6 +609,14 @@ class TestReadBack:
         assert (formatted.count("num"), formatted.count("str")) == (3 * 3, 2 * 3)
         for k, f in enumerate(frames):
             assert (tmp_path / f"{k}.csv").read_bytes() == csv_writer_bytes(f)
+
+    @pytest.mark.parametrize("kind", ["int", "time"])
+    def test_non_finite_and_out_of_range_cells_are_written_blank(self, kind):
+        # 1e300 seconds is past the year 9999; as an int it is a whole number
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = _format_column(np.array([np.inf, -np.inf, 1e300, np.nan]), kind)
+        assert cells == ["", "", "" if kind == "time" else str(int(1e300)), ""]
 
     def test_nan_payloads_read_back_canonical(self, tmp_path):
         frame = PatientFrame(["v"], ["num"], [np.array([NEGATIVE_NAN, 1.0])])
@@ -1057,12 +1065,18 @@ class TestWindowedRead:
         raw = (tmp_path / "ev.csv").read_bytes().replace(b",900.5", b",900.\xff5")
         (tmp_path / "ev.csv").write_bytes(raw)
         assert frame_mod.read_header(tmp_path / "ev.csv") == ["stay_id", "charttime", "valuenum"]
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(IoFailure, match="ev.csv: 'utf-8' codec"):
             read_csv(tmp_path / "ev.csv", EVENT_SCHEMA)
         for scan in (8, 1 << 20):
             with mock.patch.object(frame_mod, "_SCAN_BYTES", scan), \
-                    pytest.raises(UnicodeDecodeError):
+                    pytest.raises(IoFailure, match="ev.csv: 'utf-8' codec"):
                 windowed_read(tmp_path / "ev.csv", WINDOW_STAYS)
+
+    def test_invalid_utf8_in_the_header_raises(self, tmp_path):
+        (tmp_path / "ev.csv").write_bytes(b"stay_id,chart\xfftime\n1,2\n")
+        for read in (frame_mod.read_header, lambda p: read_csv(p, [("stay_id", "int")])):
+            with pytest.raises(IoFailure, match="ev.csv: 'utf-8' codec"):
+                read(tmp_path / "ev.csv")
 
     def test_window_columns_must_be_in_the_header(self, tmp_path):
         (tmp_path / "ev.csv").write_text("stay_id,time\n30000000,2150-01-05 00:00:00\n")
