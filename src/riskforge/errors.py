@@ -60,14 +60,6 @@ class LayoutMismatch(RiskforgeError):
 
 # --- model fitting ---
 
-class Separation(RiskforgeError):
-    """Perfect separation detected; carries the non-converged fit in .fit."""
-
-    def __init__(self, message, fit=None):
-        super().__init__(message)
-        self.fit = fit
-
-
 class SingularHessian(RiskforgeError):
     pass
 
@@ -111,12 +103,13 @@ class InfeasiblePrevalence(RiskforgeError):
 
 
 class MissingArtifact(RiskforgeError):
-    def __init__(self, stage, detail=""):
+    """A file a stage reads does not exist; ``stage`` names the stage that
+    needs it, and ``path`` the file."""
+
+    def __init__(self, stage, path):
         self.stage = stage
-        msg = f"missing artifact from stage '{stage}'"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        self.path = path
+        super().__init__(f"stage '{stage}' needs {path}, which does not exist")
 
 
 class ConfigInvalid(RiskforgeError):

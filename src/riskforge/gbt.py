@@ -164,10 +164,6 @@ def predict_margin(model, X):
     return f
 
 
-def predict_proba(model, X):
-    return sigmoid(np.clip(predict_margin(model, X), -30.0, 30.0))
-
-
 def gain_importance(model):
     """(feature, total gain) ranking, descending, ties by feature index."""
     order = {name: i for i, name in enumerate(model.feature_names)}
@@ -200,58 +196,3 @@ def save_model(model, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def load_model(path):
-    """Read a ``save_model`` file; a malformed one raises ValueError naming
-    the path and line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != FORMAT_TAG:
-        raise ValueError(f"{path}: not a {FORMAT_TAG} file")
-
-    def fail(i, what):
-        raise ValueError(f"{path}: line {i + 1}: {what}")
-
-    def parse(i, head, *types):
-        """The fields after ``head`` on line i, converted by ``types``."""
-        if i >= len(lines):
-            fail(i, f"file ends where a '{head}' line is due")
-        parts = lines[i].split(" ", len(types))
-        if len(parts) != len(types) + 1 or parts[0] != head:
-            fail(i, f"expected a '{head}' line with {len(types)} fields")
-        try:
-            return [t(v) for t, v in zip(types, parts[1:])]
-        except ValueError:
-            fail(i, f"malformed '{head}' line")
-
-    [base] = parse(1, "base_score", float)
-    [lr] = parse(2, "learning_rate", float)
-    [n_feat] = parse(3, "n_features", int)
-    names = [""] * n_feat
-    i = 4
-    while i < len(lines) and lines[i].startswith("feature "):
-        idx, name = parse(i, "feature", int, str)
-        if not 0 <= idx < n_feat:
-            fail(i, f"feature index {idx} outside 0..{n_feat - 1}")
-        names[idx] = name
-        i += 1
-    trees, first_lines = [], []
-    while i < len(lines):
-        _, count = parse(i, "tree", int, int)
-        nodes = []
-        for j in range(i + 1, i + 1 + count):
-            _, *fields = parse(j, "node", int, int, float, int, int, float, float)
-            nodes.append(TreeNode(*fields))
-            if nodes[-1].feature >= n_feat:
-                fail(j, f"feature index {nodes[-1].feature} outside 0..{n_feat - 1}")
-        trees.append(nodes)
-        first_lines.append(i + 1)
-        i += 1 + count
-    # trees are saved in preorder, so a split's children follow it in its tree
-    for nodes, first in zip(trees, first_lines):
-        for k, nd in enumerate(nodes):
-            if nd.feature >= 0 and not (k < nd.left < len(nodes) and k < nd.right < len(nodes)):
-                fail(first + k, f"children {nd.left}, {nd.right} of node {k} not within "
-                                f"{k + 1}..{len(nodes) - 1}")
-    return GbtModel(trees, base, names, _gain_by_feature(trees, names),
-                    GbtConfig(learning_rate=lr))

@@ -4,6 +4,11 @@ Newton/IRLS fitting, standard errors from the inverse observed information,
 two-sided normal p-values, 95% confidence intervals, McFadden pseudo-R2,
 univariate screening, and iterative VIF-based collinearity resolution with
 a keep/drop preference ledger.
+
+A fit always returns a ``GlmFit``: a perfectly separated outcome, for which
+no maximum-likelihood estimate exists, is reported by its ``separated``
+flag, and a coefficient with no standard error gets z and p NaN. Only a
+Hessian that stays singular raises (``SingularHessian``).
 """
 
 import math
@@ -12,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Separation, SingularHessian
+from .errors import SingularHessian
 
 Z95 = 1.959964
-# Newton stops once every score component is below this
+# Newton stops once every score component is below this, or after MAX_ITER steps
 SCORE_TOL = 1e-8
+MAX_ITER = 100
 
 # collinear pairs resolved by preference: (kept, dropped)
 VIF_PREFERENCES = (
@@ -49,8 +55,14 @@ def _erfc_vec(z):
     return np.array([math.erfc(v) for v in np.atleast_1d(z)])
 
 
+def wald_z(beta, se):
+    """beta / se, NaN where se is not positive: a coefficient without a
+    standard error has no Wald test."""
+    return np.divide(beta, se, out=np.full(np.shape(se), np.nan), where=se > 0)
+
+
 def wald_p(z):
-    """Two-sided normal tail probability."""
+    """Two-sided normal tail probability; NaN for a NaN z."""
     return _erfc_vec(np.abs(z) / math.sqrt(2.0))
 
 
@@ -82,14 +94,23 @@ def _design(X):
     return np.hstack([np.ones((X.shape[0], 1)), X])
 
 
-def fit_logistic(X, y, *, names=None, max_iter=100, raise_on_separation=True):
+def _solve(H, score):
+    """The Newton step, or None where ``H`` is singular."""
+    try:
+        return np.linalg.solve(H, score)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def fit_logistic(X, y, *, names=None):
     """Newton/IRLS fit of P(y=1) = sigmoid(b0 + X b).
 
     Iterates until the score max-norm drops below ``SCORE_TOL``. Standard errors
-    come from the inverse observed information at the solution. Perfect
-    separation raises ``Separation`` carrying the non-converged fit (or
-    returns it when ``raise_on_separation`` is false). A singular Hessian is
-    retried once with a tiny ridge jitter before giving up.
+    come from the inverse observed information at the solution; where one is
+    not positive, that coefficient's z and p are NaN. A perfectly separated
+    outcome returns the last iterate with ``separated`` set and ``converged``
+    false. The first singular Hessian of a fit is retried with a tiny ridge
+    jitter; a second raises ``SingularHessian``.
     """
     y = np.asarray(y, dtype=float)
     Z = _design(X)
@@ -103,7 +124,7 @@ def fit_logistic(X, y, *, names=None, max_iter=100, raise_on_separation=True):
     separated = False
     jittered = False
     ll = bernoulli_loglik(y, Z @ beta)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         eta = Z @ beta
         p = sigmoid(eta)
         score = Z.T @ (y - p)
@@ -115,17 +136,12 @@ def fit_logistic(X, y, *, names=None, max_iter=100, raise_on_separation=True):
             break
         w = np.clip(p * (1.0 - p), 1e-12, None)
         H = (Z * w[:, None]).T @ Z
-        try:
-            step = np.linalg.solve(H, score)
-        except np.linalg.LinAlgError:
-            if jittered:
-                raise SingularHessian("Hessian singular after ridge jitter")
+        step = _solve(H, score)
+        if step is None and not jittered:
             jittered = True
-            H = H + 1e-8 * np.eye(q)
-            try:
-                step = np.linalg.solve(H, score)
-            except np.linalg.LinAlgError:
-                raise SingularHessian("Hessian singular after ridge jitter") from None
+            step = _solve(H + 1e-8 * np.eye(q), score)
+        if step is None:
+            raise SingularHessian("Hessian singular after ridge jitter")
         # halve the step until the likelihood stops degrading
         scale = 1.0
         for _ in range(30):
@@ -148,8 +164,7 @@ def fit_logistic(X, y, *, names=None, max_iter=100, raise_on_separation=True):
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(H)
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zstat = np.where(se > 0, beta / se, np.inf * np.sign(beta + 1e-300))
+    zstat = wald_z(beta, se)
     pvals = wald_p(zstat)
     ll = bernoulli_loglik(y, eta)
     ll0 = null_loglik(y)
@@ -157,12 +172,9 @@ def fit_logistic(X, y, *, names=None, max_iter=100, raise_on_separation=True):
         pr2 = 0.0
     else:
         pr2 = max(0.0, 1.0 - ll / ll0)
-    fit = GlmFit(names, beta, se, zstat, pvals,
-                 beta - Z95 * se, beta + Z95 * se,
-                 ll, ll0, pr2, n, converged and not separated, separated)
-    if separated and raise_on_separation:
-        raise Separation("perfectly separated outcome", fit=fit)
-    return fit
+    return GlmFit(names, beta, se, zstat, pvals,
+                  beta - Z95 * se, beta + Z95 * se,
+                  ll, ll0, pr2, n, converged and not separated, separated)
 
 
 @dataclass
@@ -175,19 +187,21 @@ class ScreenRow:
 
 
 def univariate_screen(fm, y):
-    """Single-predictor logistic fit per column; significance at p < SCREEN_ALPHA."""
+    """Single-predictor logistic fit per column; significance at p < SCREEN_ALPHA.
+
+    A separated column keeps its last coefficient with p NaN; a column whose
+    Hessian stays singular gets NaN for both."""
     rows = []
     for j, name in enumerate(fm.names):
         try:
             fit = fit_logistic(fm.X[:, j], y, names=[name])
-            rows.append(ScreenRow(name, float(fit.coef[1]), float(fit.p[1]),
-                                  bool(fit.p[1] < SCREEN_ALPHA)))
-        except Separation as exc:
-            rows.append(ScreenRow(name, float(exc.fit.coef[1]), float("nan"),
-                                  False, "separation"))
         except SingularHessian:
             rows.append(ScreenRow(name, float("nan"), float("nan"), False,
                                   "singular"))
+            continue
+        p = float("nan") if fit.separated else float(fit.p[1])
+        rows.append(ScreenRow(name, float(fit.coef[1]), p, p < SCREEN_ALPHA,
+                              "separation" if fit.separated else ""))
     return rows
 
 

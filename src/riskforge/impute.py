@@ -255,18 +255,15 @@ class RubinPooled:
     m: int
 
 
-def rubin_pool(fits, m=None):
-    """Pool per-imputation fits: T = V + (1 + 1/m) * B.
+def rubin_pool(fits):
+    """Pool the fits of m imputations: T = V + (1 + 1/m) * B.
 
     beta_mi is the mean coefficient vector, V the mean squared standard
     error, B the across-imputation sample variance (ddof=1).
     """
     if not fits:
         raise LayoutMismatch("no fits to pool")
-    if m is None:
-        m = len(fits)
-    if m != len(fits):
-        raise LayoutMismatch(f"expected {m} fits, got {len(fits)}")
+    m = len(fits)
     names = list(fits[0].names)
     for f in fits[1:]:
         if list(f.names) != names or len(f.coef) != len(fits[0].coef):

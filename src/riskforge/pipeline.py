@@ -32,7 +32,8 @@ import numpy as np
 from . import design, gbt, glm, impute, lasso, svgplot, text as text_mod
 from .config import stage_seed
 from .cohort import CohortConfig, build_cohort
-from .errors import DuplicateCohortRow, MissingArtifact, SingularHessian, TooFewRows
+from .errors import (DuplicateCohortRow, IoFailure, MissingArtifact, SingularHessian,
+                     TooFewRows)
 from .frame import (PatientFrame, join, read_back, read_csv, read_header,
                     write_csv)
 from .harmonize import (DEFAULT_PLAUSIBILITY, FLAG_NAMES, PlausibilityRule,
@@ -63,11 +64,17 @@ _SAVED = {}
 
 def _atomic(cfg, name, write):
     """Call ``write(tmp)`` and move tmp over ``out_dir/name``, so readers
-    never see a half-written artifact. Returns the path."""
+    never see a half-written artifact. Returns the path; an OSError from
+    the write or the rename is an IoFailure naming it."""
     path = os.path.join(cfg.out_dir, name)
     tmp = f"{path}.tmp"
-    write(tmp)
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from None
     return path
 
 
@@ -96,7 +103,7 @@ def _chart(cfg, name, series, **options):
 
 def _need(path, stage):
     if not os.path.exists(path):
-        raise MissingArtifact(stage, os.path.basename(path))
+        raise MissingArtifact(stage, path)
     return path
 
 
@@ -170,7 +177,6 @@ def _read_input(cfg, name, stage, window=None):
 
 
 def run_synth(cfg):
-    os.makedirs(cfg.data_dir, exist_ok=True)
     scfg = SynthConfig(n_patients=cfg.synth_n, prevalence=cfg.synth_prevalence,
                        text_signal_strength=cfg.synth_text_signal,
                        emb_dim=cfg.synth_emb_dim,
@@ -448,14 +454,13 @@ def run_fit(cfg):
                 _variant_matrix(fm_k, text_fm, variant), std_full.mean, std_full.scale)
             for fset in FEATURE_SETS:
                 sub = stdk.subset(kept[fset])
-                fit = glm.fit_logistic(sub.X[train_idx], y[train_idx],
-                                       names=kept[fset], raise_on_separation=False)
+                fit = glm.fit_logistic(sub.X[train_idx], y[train_idx], names=kept[fset])
                 fits[fset].append(fit)
                 probs_sum[fset] += glm.sigmoid(fit.coef[0] + sub.X @ fit.coef[1:])
 
         for fset in FEATURE_SETS:
             pooled = impute.rubin_pool(fits[fset])
-            zstat = np.where(pooled.se > 0, pooled.beta_mi / pooled.se, 0.0)
+            zstat = glm.wald_z(pooled.beta_mi, pooled.se)
             pvals = glm.wald_p(zstat)
             outs.append(_save(cfg, f"model_summary_{variant}_{fset}.csv", [
                 ("variable", "str", ["intercept"] + kept[fset]),
@@ -520,8 +525,7 @@ def run_evaluate(cfg):
 
     news2_all = _news2_frame_scores(frame1)
     try:
-        recal = glm.fit_logistic(news2_all[train], y_all[train], names=["news2"],
-                                 raise_on_separation=False)
+        recal = glm.fit_logistic(news2_all[train], y_all[train], names=["news2"])
         news2_probs = recal.predict(news2_all[:, None])
     except SingularHessian:
         news2_probs = np.full(len(y_all), float(y_all[train].mean()))
@@ -624,7 +628,12 @@ def run_stage(stage, cfg):
     """Run one named stage; returns the list of artifact paths written."""
     if stage not in RUNNERS:
         raise ValueError(f"unknown stage {stage!r}")
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    # the one directory the stage writes: synth makes the input tables
+    written = cfg.data_dir if stage == "synth" else cfg.out_dir
+    try:
+        os.makedirs(written, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot make directory {written}: {exc.strerror or exc}") from None
     return RUNNERS[stage](cfg)
 
 

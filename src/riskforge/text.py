@@ -223,19 +223,6 @@ def save_basis(basis, path):
         + [(f"v{j}", "num", mat[:, j]) for j in range(mat.shape[1])]), path)
 
 
-def load_basis(path):
-    """A basis written by ``save_basis``: ``pca`` when it has a center row."""
-    values = read_header(path)[3:]
-    frame = read_csv(path, [("role", "str"), ("explained_ratio", "num")]
-                     + [(v, "num") for v in values])
-    mat = frame.matrix(values)
-    is_center = frame.values("role") == "center"
-    center = mat[is_center][-1] if is_center.any() else None
-    kind = "pca" if center is not None else "svd"
-    return ReducedBasis(kind, mat[~is_center], frame.values("explained_ratio")[~is_center],
-                        center, int((~is_center).sum()))
-
-
 def read_embeddings(path):
     """CSV of hadm_id + dense embedding columns -> (hadm_ids ascending,
     matrix with one row per id).

@@ -122,8 +122,7 @@ def test_c04_pooled_coefficient_recovery():
             for comp in completed:
                 X = np.column_stack([comp.values(n) for n in names])
                 fm = standardize(FeatureMatrix(X, names))
-                fits.append(fit_logistic(fm.X, sim.y, names=names,
-                                         raise_on_separation=False))
+                fits.append(fit_logistic(fm.X, sim.y, names=names))
             pooled = rubin_pool(fits)
             for j, name in enumerate(names):
                 total += 1

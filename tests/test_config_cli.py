@@ -415,6 +415,42 @@ class TestMalformedInputs:
         assert err.count("\n") == 1 and f"hadm_id {hadm} " in err and "discharge_emb.csv" in err
 
 
+class TestUnwritableOutput:
+    """A directory or artifact that cannot be written exits 1 with one line
+    on stderr naming it, no traceback."""
+
+    def test_plain_file_as_out_dir(self, tmp_path, capsys):
+        cfg = TestCli().cfg_file(tmp_path)
+        (tmp_path / "out").write_text("")
+        # synth writes only the data directory
+        assert main(["synth", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["cohort", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"cannot make directory {tmp_path / 'out'}: " in err
+
+    def test_plain_file_as_data_dir(self, tmp_path, capsys):
+        cfg = TestCli().cfg_file(tmp_path)
+        (tmp_path / "data").write_text("")
+        assert main(["synth", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"cannot make directory {tmp_path / 'data'}: " in err
+        assert not (tmp_path / "out").exists()
+
+    def test_artifact_that_cannot_be_replaced(self, tmp_path, capsys):
+        cfg = TestCli().cfg_file(tmp_path)
+        assert main(["synth", "--config", str(cfg)]) == 0
+        (tmp_path / "out" / "cohort.csv").mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["cohort", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"cannot write {tmp_path / 'out' / 'cohort.csv'}: " in err
+        assert os.listdir(tmp_path / "out") == ["cohort.csv"]
+
+
 class TestEmbeddingRowOrder:
     def test_shuffled_embedding_rows_write_the_same_bytes(self, tmp_path):
         malformed = TestMalformedInputs()

@@ -5,8 +5,8 @@ import pytest
 
 from riskforge import gbt
 from riskforge.gbt import (GbtConfig, GbtModel, TreeNode, _tree_predict,
-                           fit_gbt, gain_importance, load_model, predict_margin,
-                           predict_proba, save_model, top_k_features)
+                           fit_gbt, gain_importance, predict_margin, save_model,
+                           top_k_features)
 from riskforge.glm import sigmoid
 
 
@@ -97,14 +97,6 @@ class TestFit:
                 G = g[members].sum()
                 H = h[members].sum()
                 assert nodes[k].weight == pytest.approx(-G / (H + 1.0), rel=1e-10)
-
-    def test_probabilities_strictly_inside_unit_interval(self):
-        rng = np.random.default_rng(4)
-        X = rng.standard_normal((100, 2))
-        y = (X[:, 0] > 0).astype(float)
-        model = fit_gbt(X, y, GbtConfig(n_trees=60, learning_rate=0.5, seed=0))
-        p = predict_proba(model, X)
-        assert np.all(p > 0.0) and np.all(p < 1.0)
 
     def test_nan_routes_left(self):
         X = np.array([[-1.0], [-0.5], [0.5], [1.0]] * 10)
@@ -318,82 +310,33 @@ class TestTopK:
             top_k_features(self.fixture_model(), 0)
 
 
-def test_save_load_round_trip(tmp_path):
+def test_saved_node_lines_carry_every_field(tmp_path):
+    # each node line holds every TreeNode field, floats by repr, so the
+    # fitted trees can be rebuilt from the artifact exactly
     rng = np.random.default_rng(7)
     X = rng.standard_normal((150, 3))
+    X[rng.uniform(size=X.shape) < 0.1] = np.nan
     y = (rng.uniform(size=150) < sigmoid(X[:, 1])).astype(float)
     model = fit_gbt(X, y, GbtConfig(n_trees=8, seed=2), names=["p", "q", "r"])
-    path = tmp_path / "model.txt"
+    path = tmp_path / "gbt_model_structured.txt"
     save_model(model, path)
-    loaded = load_model(path)
-    assert np.array_equal(predict_margin(model, X), predict_margin(loaded, X))
-    assert loaded.feature_names == ["p", "q", "r"]
-    assert loaded.importance_gain == pytest.approx(model.importance_gain)
-
-
-class TestMalformedModelFile:
-    def saved_lines(self, tmp_path):
-        rng = np.random.default_rng(8)
-        X = rng.standard_normal((60, 3))
-        y = (X[:, 0] > 0).astype(float)
-        model = fit_gbt(X, y, GbtConfig(max_depth=2, n_trees=2, seed=0))
-        save_model(model, tmp_path / "model.txt")
-        return (tmp_path / "model.txt").read_text().splitlines()
-
-    def load_lines(self, tmp_path, lines):
-        path = tmp_path / "bad.txt"
-        path.write_text("\n".join(lines) + "\n")
-        return load_model(path)
-
-    def test_truncated_file(self, tmp_path):
-        lines = self.saved_lines(tmp_path)
-        with pytest.raises(ValueError, match=r"bad\.txt: line 3: file ends"):
-            self.load_lines(tmp_path, lines[:2])
-        with pytest.raises(ValueError, match=rf"bad\.txt: line {len(lines)}: file ends"):
-            self.load_lines(tmp_path, lines[:-1])
-
-    def test_feature_index_beyond_n_features(self, tmp_path):
-        lines = self.saved_lines(tmp_path)
-        assert lines[6] == "feature 2 x2"
-        lines[6] = "feature 3 x2"
-        with pytest.raises(ValueError, match=r"bad\.txt: line 7: feature index 3"):
-            self.load_lines(tmp_path, lines)
-
-    def test_node_count_differs_from_node_lines(self, tmp_path):
-        lines = self.saved_lines(tmp_path)
-        count = int(lines[7].split()[2])
-        # tree 0's header is line 8; tree 1's header follows its nodes
-        lines[7] = f"tree 0 {count + 1}"
-        with pytest.raises(ValueError, match=rf"line {9 + count}: expected a 'node' line"):
-            self.load_lines(tmp_path, lines)
-        lines[7] = f"tree 0 {count - 1}"
-        with pytest.raises(ValueError, match=rf"line {8 + count}: expected a 'tree' line"):
-            self.load_lines(tmp_path, lines)
-
-    def one_split_lines(self, tmp_path):
-        X = np.arange(20, dtype=float)[:, None]
-        y = (X[:, 0] >= 10).astype(float)
-        model = fit_gbt(X, y, GbtConfig(max_depth=1, n_trees=1, subsample=1.0, seed=0))
-        save_model(model, tmp_path / "model.txt")
-        lines = (tmp_path / "model.txt").read_text().splitlines()
-        assert lines[5] == "tree 0 3" and lines[6].split()[4:6] == ["1", "2"]
-        return lines
-
-    def with_root_left(self, lines, left):
-        fields = lines[6].split(" ")
-        fields[4] = str(left)
-        return lines[:6] + [" ".join(fields)] + lines[7:]
-
-    def test_split_child_not_after_its_node(self, tmp_path):
-        # a root that is its own child would send predict_margin round forever
-        lines = self.one_split_lines(tmp_path)
-        with pytest.raises(ValueError, match=r"bad\.txt: line 7: children 0, 2 of node 0"):
-            self.load_lines(tmp_path, self.with_root_left(lines, 0))
-
-    def test_split_child_outside_its_tree(self, tmp_path):
-        lines = self.one_split_lines(tmp_path)
-        with pytest.raises(ValueError, match=r"bad\.txt: line 7: children 9, 2 of node 0"):
-            self.load_lines(tmp_path, self.with_root_left(lines, 9))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[:7] == ["riskforge-gbt 1", f"base_score {model.base_score!r}",
+                         f"learning_rate {model.config.learning_rate!r}", "n_features 3",
+                         "feature 0 p", "feature 1 q", "feature 2 r"]
+    trees, i = [], 7
+    while i < len(lines):
+        head, t, count = lines[i].split(" ")
+        assert (head, int(t)) == ("tree", len(trees))
+        nodes = []
+        for k, line in enumerate(lines[i + 1:i + 1 + int(count)]):
+            head, at, *fields = line.split(" ")
+            assert (head, int(at)) == ("node", k)
+            nodes.append(TreeNode(*(kind(v) for kind, v
+                                    in zip((int, float, int, int, float, float), fields))))
+        trees.append(nodes)
+        i += 1 + int(count)
+    assert trees == model.trees
 
 
 class TestInputShape:

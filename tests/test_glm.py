@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from riskforge.design import FeatureMatrix
-from riskforge.errors import Separation
+from riskforge.errors import SingularHessian
 from riskforge.glm import (consolidate_features, fit_logistic, null_loglik,
                            sigmoid, univariate_screen, vif, wald_p)
 
@@ -40,13 +40,23 @@ class TestFitLogistic:
         assert abs(fit.coef[0]) < 3 * fit.se[0]
         assert fit.converged
 
-    def test_perfect_separation_raises(self):
+    def test_perfect_separation_sets_separated(self):
         X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        with pytest.raises(Separation) as exc:
-            fit_logistic(X, y)
-        assert exc.value.fit is not None
-        assert not exc.value.fit.converged
+        fit = fit_logistic(X, y)
+        assert fit.separated
+        assert not fit.converged
+        assert fit.coef[1] > 0
+
+    def test_hessian_singular_after_jitter_raises(self):
+        # a zero column leaves the Hessian singular at every step; the one
+        # ridge retry moves the fit, and the next singular step raises
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(200)
+        y = (x > 0).astype(float)
+        y[:20] = 1.0 - y[:20]
+        with pytest.raises(SingularHessian, match="after ridge jitter"):
+            fit_logistic(np.column_stack([x, np.zeros(200)]), y)
 
     def test_gradient_maxnorm_below_1e6_at_solution(self):
         rng = np.random.default_rng(3)
@@ -100,6 +110,22 @@ class TestUnivariateScreen:
         rows = univariate_screen(make_fm(X, ["lactate"]), y)
         assert rows[0].significant and rows[0].p < 1e-6
         assert rows[0].name == "lactate"
+
+    def test_separated_column_keeps_coef_without_p(self):
+        y = np.array([0.0, 0.0, 1.0, 1.0] * 5)
+        x = np.array([-2.0, -1.0, 1.0, 2.0] * 5)
+        row, = univariate_screen(make_fm(x[:, None], ["lactate"]), y)
+        assert row.note == "separation" and not row.significant
+        assert row.coef > 0 and math.isnan(row.p)
+
+    def test_column_without_information_is_not_significant(self):
+        # an all-zero column: its coefficient has no standard error, so no test
+        y = np.array([0.0, 1.0] * 50)
+        row, = univariate_screen(make_fm(np.zeros((100, 1))), y)
+        assert row.coef == 0.0
+        assert math.isnan(row.p) and not row.significant
+        fit = fit_logistic(np.zeros((100, 1)), y)
+        assert fit.se[1] == 0.0 and math.isnan(fit.z[1]) and math.isnan(fit.p[1])
 
     def test_row_shape_per_variable(self):
         rng = np.random.default_rng(6)

@@ -1,10 +1,13 @@
-"""No module under src/ or tests/ keeps an import it never uses, and no
-module under src/ keeps a private name it never reads.
+"""No module under src/ or tests/ keeps an import it never uses, no
+module under src/ keeps a private name it never reads, and src/ has no
+public function or class that only tests reach.
 
 Each module is parsed with ``ast``: a name bound by a top-level ``import``
 or ``from ... import`` must be read somewhere in the module, and so must a
 top-level function, class or constant of src/ whose name starts with one
-underscore.
+underscore. A public top-level function or class of src/ must be read, as
+a name, an attribute or a ``from`` import, somewhere in src/ or perfbench/,
+unless ``TEST_ONLY_PUBLIC`` names it.
 """
 
 import ast
@@ -12,6 +15,16 @@ import glob
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# public names that only tests read, each with the reason it stays
+TEST_ONLY_PUBLIC = {
+    "run_all": "the one-process API of the pipeline",
+    "forget_saved": "test hook: later loads read the disk",
+    "news2_score": "C9's per-patient reference for news2_scores",
+    "News2Input": "the input record of news2_score",
+    "format_time": "tests' reference for _format_times",
+    "predict_margin": "tests' view of _tree_predict over a whole model",
+}
 
 
 def unused_imports(source):
@@ -39,6 +52,33 @@ def unread_private_names(source):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return [name for name in defined
             if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def unreached_public_names(sources, readers):
+    """Public top-level functions and classes of the ``sources`` texts that
+    no text of ``readers`` reads."""
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [node.name for source in sources for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read]
+
+
+def _texts(*patterns):
+    paths = sorted(p for pattern in patterns
+                   for p in glob.glob(os.path.join(ROOT, pattern), recursive=True))
+    texts = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    return texts
 
 
 def test_checker_flags_only_unread_names():
@@ -75,3 +115,17 @@ def test_no_unread_private_names_in_src():
         if names:
             unread[os.path.relpath(path, ROOT)] = names
     assert unread == {}
+
+
+def test_public_checker_flags_only_unreached_names():
+    lib = ("def used(): pass\ndef helper(): pass\ndef unread(): used()\n"
+           "class Model: pass\nclass Orphan: pass\ndef _private(): pass\n")
+    bench = "from lib import helper\nimport lib\nlib.Model()\n"
+    assert unreached_public_names([lib], [lib, bench]) == ["unread", "Orphan"]
+
+
+def test_every_public_name_in_src_is_read_outside_tests():
+    src = _texts("src/**/*.py")
+    assert len(src) > 10
+    unreached = unreached_public_names(src, src + _texts("perfbench/*.py"))
+    assert sorted(unreached) == sorted(TEST_ONLY_PUBLIC)

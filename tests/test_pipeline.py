@@ -235,12 +235,16 @@ class TestArtifacts:
 
 class TestStageOrdering:
     def test_missing_artifact_error_names_stage(self, tmp_path):
+        # the stage named is the one that needs the file, which is named in full
         cfg = RunConfig(data_dir=str(tmp_path / "d"), out_dir=str(tmp_path / "o"))
         from riskforge.errors import MissingArtifact
-        with pytest.raises(MissingArtifact):
-            run_stage("evaluate", cfg)
-        with pytest.raises(MissingArtifact):
-            run_stage("features", cfg)
+        for stage, path in (("evaluate", tmp_path / "o" / "imputed_1.csv"),
+                            ("features", tmp_path / "o" / "cohort.csv"),
+                            ("cohort", tmp_path / "d" / "diagnoses_icd.csv")):
+            with pytest.raises(MissingArtifact) as exc:
+                run_stage(stage, cfg)
+            assert exc.value.stage == stage and exc.value.path == str(path)
+            assert str(exc.value) == f"stage '{stage}' needs {path}, which does not exist"
 
     def test_select_reads_only_the_first_imputation(self, small_run, tmp_path):
         # selection runs on imputed_1.csv alone; the others feed only fit

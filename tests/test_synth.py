@@ -37,7 +37,7 @@ class TestSimulate:
         names = sorted(DEFAULT_TRUE_BETA)
         X = np.column_stack([frame.values(n) for n in names])
         fm = standardize(FeatureMatrix(X, names))
-        fit = fit_logistic(fm.X, sim.y, raise_on_separation=False)
+        fit = fit_logistic(fm.X, sim.y)
         fitted_auc = roc(fit.predict(fm.X), sim.y).auc
         assert sim.truth["bayes_auc"] >= fitted_auc - 0.01
 

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from riskforge.errors import ConvergenceFailure, EmptyCorpus, TooFewRows
 from riskforge.text import (STOPWORDS, CoverageReport, apply_text_block,
                             corpus_matrix, fit_reduced_basis, fit_tfidf,
-                            normalize_text, select_notes, transform_tfidf)
+                            normalize_text, save_basis, select_notes, transform_tfidf)
+from riskforge.frame import read_csv
 
 from test_frame import make_frame
 
@@ -257,28 +258,40 @@ class TestTextBlock:
 
 
 class TestBasisFiles:
+    """A ``*.basis.csv`` read through ``read_csv`` gives back the basis
+    exactly: the centre row first for pca, then one row per component."""
+
+    def read(self, basis, path):
+        save_basis(basis, path)
+        width = basis.components.shape[1]
+        frame = read_csv(path, [("role", "str"), ("index", "int"),
+                                ("explained_ratio", "num")]
+                         + [(f"v{j}", "num") for j in range(width)])
+        return frame, frame.matrix([f"v{j}" for j in range(width)])
+
     def test_round_trip_svd(self, tmp_path):
-        from riskforge.text import load_basis, save_basis
         rng = np.random.default_rng(7)
         M = rng.standard_normal((25, 6))
         basis = fit_reduced_basis(M, "svd", 0.9)
-        save_basis(basis, tmp_path / "b.csv")
-        loaded = load_basis(tmp_path / "b.csv")
-        assert loaded.kind == "svd" and loaded.center is None
-        assert loaded.retained == basis.retained
-        assert np.allclose(loaded.components, basis.components)
-        assert np.allclose(loaded.transform(M), basis.transform(M))
+        frame, mat = self.read(basis, tmp_path / "disch_tfidf_svd.basis.csv")
+        r = basis.retained
+        assert frame.values("role").tolist() == ["component"] * r
+        assert frame.values("index").tolist() == list(range(1, r + 1))
+        assert np.array_equal(frame.values("explained_ratio"), basis.explained_ratio[:r])
+        assert np.array_equal(mat, basis.components[:r])
 
     def test_round_trip_pca_keeps_center(self, tmp_path):
-        from riskforge.text import load_basis, save_basis
         rng = np.random.default_rng(8)
         M = rng.standard_normal((25, 5)) + 3.0
         basis = fit_reduced_basis(M, "pca", 0.8)
-        save_basis(basis, tmp_path / "b.csv")
-        loaded = load_basis(tmp_path / "b.csv")
-        assert loaded.kind == "pca"
-        assert np.allclose(loaded.center, basis.center)
-        assert np.allclose(loaded.transform(M), basis.transform(M))
+        frame, mat = self.read(basis, tmp_path / "discharge_bert_pca.basis.csv")
+        r = basis.retained
+        assert frame.values("role").tolist() == ["center"] + ["component"] * r
+        assert frame.values("index").tolist() == list(range(0, r + 1))
+        assert np.array_equal(frame.values("explained_ratio"),
+                              np.concatenate([[0.0], basis.explained_ratio[:r]]))
+        assert np.array_equal(mat[0], basis.center)
+        assert np.array_equal(mat[1:], basis.components[:r])
 
 
 class TestSelectNotesOrder:
